@@ -45,6 +45,7 @@ from repro.detection.marking import (
 )
 from repro.detection.monitor import MonitorConfig, TrafficMonitor
 from repro.errors import DetectionError
+from repro.perf.compiled import TIERS
 from repro.repair.policy import RepairPolicy
 from repro.repair.defender import RepairingDefender
 from repro.simulation.packet_sim import (
@@ -61,9 +62,6 @@ if TYPE_CHECKING:  # lazy: repro.scenarios imports this module's classes
 __all__ = ["PhaseOutcome", "LoopResult", "DetectionRepairLoop", "LOOP_MODES"]
 
 LOOP_MODES = ("none", "oracle", "detected")
-
-_TIERS = ("scalar", "numpy", "compiled")
-
 
 @dataclasses.dataclass(frozen=True)
 class PhaseOutcome:
@@ -151,9 +149,9 @@ class DetectionRepairLoop:
                 "detector-driven repair needs detection_probability=1.0"
             )
         if tier is not None:
-            if tier not in _TIERS:
+            if tier not in TIERS:
                 raise DetectionError(
-                    f"tier must be one of {_TIERS}, got {tier!r}"
+                    f"tier must be one of {TIERS}, got {tier!r}"
                 )
             # One knob drives both hot paths: the packet engine's kernel
             # tier and the monitor's detector-scan tier.

@@ -24,7 +24,7 @@ count *exactly* non-increasing in the threshold (the statistic
 trajectory does not depend on it), so the claims are structural.
 
 All three accept ``fast=`` and run identically on either packet engine
-(``repro-experiments --event-engine`` flips the default).
+(``repro-experiments --engine event`` flips the default).
 """
 
 from __future__ import annotations

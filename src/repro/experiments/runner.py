@@ -21,6 +21,7 @@ from typing import List, Optional
 from repro.errors import ReproError
 from repro.experiments.figures import PAPER_FIGURES, available, run_figure
 from repro.experiments.report import render_markdown, render_text
+from repro.perf.compiled import TIERS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,13 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(figures without an engine choice ignore this)",
     )
     parser.add_argument(
-        "--event-engine",
-        action="store_true",
-        help="deprecated alias for --engine event",
-    )
-    parser.add_argument(
         "--tier",
-        choices=("scalar", "numpy", "compiled"),
+        choices=TIERS,
         help="execution tier for figures that accept one "
         "(bit-identical; only speed changes)",
     )
@@ -106,17 +102,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         overrides["trials"] = args.trials
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.engine is not None and args.event_engine:
-        if args.engine != "event":
-            print(
-                "--engine and --event-engine disagree; pick one",
-                file=sys.stderr,
-            )
-            return 2
     if args.engine is not None:
         overrides["fast"] = args.engine == "fast"
-    elif args.event_engine:
-        overrides["fast"] = False
     if args.tier is not None:
         overrides["tier"] = args.tier
     for figure_id in targets:

@@ -13,7 +13,7 @@ The process-parallel Monte Carlo dispatcher lives with its estimator in
 benchmark-snapshot workflow.
 
 :mod:`repro.perf.compiled` adds the compiled hot-path tier: machine-code
-kernels (numba or the bundled C backend) for the sequential recursions
+kernels (bundled C, bound through ctypes) for the sequential recursions
 the numpy tier cannot vectorize, selected per run via
 ``PacketSimConfig.tier`` / ``TrafficMonitor(tier=...)`` and bit-identical
 to the numpy oracle. ``tools/bench_ladder.py`` benchmarks every

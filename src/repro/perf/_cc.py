@@ -1,10 +1,8 @@
-"""System-compiler backend for the compiled hot-path tier.
+"""System-compiler build of the compiled hot-path tier's kernels.
 
-When numba is not installed (it is an *optional* extra — see
-``repro[compiled]``), the compiled tier can still run anywhere a C
-toolchain exists: the kernels below are compiled once per machine with
-the system ``cc`` into a small shared library and bound through
-:mod:`ctypes`. The build is hermetic — one translation unit, no headers
+The compiled tier runs anywhere a C toolchain exists: the kernels below
+are compiled once per machine with the system ``cc`` into a small shared
+library and bound through :mod:`ctypes`. The build is hermetic — one translation unit, no headers
 beyond the C standard library, no network — and cached on a hash of the
 source, so the first ``tier="compiled"`` run pays ~1 second of compile
 and every later run (or process) reuses the ``.so``.
@@ -220,8 +218,8 @@ void repro_bucket_scan(
 }
 
 /* ------------------------------------------------------------------ */
-/* Fused congestion lookup + uniform routing (fastsim._congested_at +  */
-/* fastsim._route_uniform).                                            */
+/* Fused congestion lookup + uniform routing                          */
+/* (fastsim._InterpreterKernels.route).                                */
 /* ------------------------------------------------------------------ */
 
 void repro_route(

@@ -12,15 +12,12 @@ The perf ladder runs every hot path at up to three tiers:
 ``compiled``
     Machine-code kernels for the per-event sequential recursions that
     numpy cannot vectorize (Lindley token-bucket replay, CUSUM/EWMA
-    scans, congestion-aware routing). Two interchangeable backends:
+    scans, congestion-aware routing), written in C, compiled once per
+    machine with the system toolchain (:mod:`repro.perf._cc`) and bound
+    through :mod:`ctypes` by :class:`KernelSet`.
 
-    * **numba** (preferred; install via ``pip install repro[compiled]``)
-      — ``@numba.njit`` kernels in :mod:`repro.perf._numba_kernels`;
-    * **cc** — the same kernels as C compiled once per machine with the
-      system toolchain (:mod:`repro.perf._cc`).
-
-    Both replay the numpy arithmetic operation for operation, so the
-    compiled tier is *bit-identical* to the numpy tier wherever the
+    The kernels replay the numpy arithmetic operation for operation, so
+    the compiled tier is *bit-identical* to the numpy tier wherever the
     numpy tier is exact (accept/drop decisions, congestion flags,
     injection schedules, detector flag sequences, Welford folds) —
     property-tested in ``tests/perf/test_compiled_kernels.py`` and
@@ -28,23 +25,23 @@ The perf ladder runs every hot path at up to three tiers:
 
 Tier selection is data (``PacketSimConfig.tier``,
 ``TrafficMonitor(tier=...)``), resolved here. Requesting ``compiled``
-with no backend available degrades to ``numpy`` with a one-time
-:class:`CompiledTierUnavailableWarning` naming the reason, so code never
-has to guard on the environment. ``REPRO_COMPILED_BACKEND`` pins a
-backend (``numba`` | ``cc`` | ``none``) for tests and CI matrices.
+with no C compiler (or a failed build) degrades to ``numpy`` with a
+one-time :class:`CompiledTierUnavailableWarning` naming the reason, so
+code never has to guard on the environment.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
-import os
 import warnings
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 import numpy as np
 import numpy.typing as npt
 
 from repro.errors import SimulationError
+from repro.perf import _cc
 
 __all__ = [
     "TIERS",
@@ -66,77 +63,12 @@ class CompiledTierUnavailableWarning(RuntimeWarning):
     """Raised (once) when ``tier="compiled"`` degrades to numpy."""
 
 
-_BACKEND: Optional[str] = None
-_BACKEND_RESOLVED = False
-_BACKEND_REASONS: Dict[str, str] = {}
 _WARNED = False
 
 
-def _resolve_backend() -> Optional[str]:
-    """Pick the best compiled backend available, at most once per process."""
-    global _BACKEND, _BACKEND_RESOLVED
-    if _BACKEND_RESOLVED:
-        return _BACKEND
-    _BACKEND_RESOLVED = True
-    forced = os.environ.get("REPRO_COMPILED_BACKEND", "").strip().lower()
-    if forced == "none":
-        _BACKEND_REASONS["forced"] = "REPRO_COMPILED_BACKEND=none"
-        _BACKEND = None
-        return None
-    order = (forced,) if forced in ("numba", "cc") else ("numba", "cc")
-    for name in order:
-        if name == "numba" and _load_numba() is not None:
-            _BACKEND = "numba"
-            return _BACKEND
-        if name == "cc" and _load_cc() is not None:
-            _BACKEND = "cc"
-            return _BACKEND
-    _BACKEND = None
-    return None
-
-
-_NUMBA_MODULE: Any = None
-_NUMBA_TRIED = False
-
-
-def _load_numba() -> Any:
-    global _NUMBA_MODULE, _NUMBA_TRIED
-    if _NUMBA_TRIED:
-        return _NUMBA_MODULE
-    _NUMBA_TRIED = True
-    try:
-        from repro.perf import _numba_kernels
-    except ImportError as exc:
-        _BACKEND_REASONS["numba"] = (
-            f"numba is not installed ({exc}); "
-            "install the optional extra: pip install repro[compiled]"
-        )
-        _NUMBA_MODULE = None
-    else:
-        _NUMBA_MODULE = _numba_kernels
-    return _NUMBA_MODULE
-
-
-_CC_LIBRARY: Any = None
-_CC_TRIED = False
-
-
-def _load_cc() -> Any:
-    global _CC_LIBRARY, _CC_TRIED
-    if _CC_TRIED:
-        return _CC_LIBRARY
-    _CC_TRIED = True
-    from repro.perf import _cc
-
-    _CC_LIBRARY = _cc.load_library()
-    if _CC_LIBRARY is None:
-        _BACKEND_REASONS["cc"] = _cc.build_error() or "cc backend unavailable"
-    return _CC_LIBRARY
-
-
 def compiled_backend() -> Optional[str]:
-    """``"numba"`` / ``"cc"`` when a compiled backend is usable, else None."""
-    return _resolve_backend()
+    """``"cc"`` when the bundled C kernels are usable, else None."""
+    return "cc" if _cc.load_library() is not None else None
 
 
 def available_tiers() -> Tuple[str, ...]:
@@ -161,14 +93,10 @@ def resolve_tier(tier: str) -> str:
     if tier == "compiled" and compiled_backend() is None:
         if not _WARNED:
             _WARNED = True
-            reasons = "; ".join(
-                _BACKEND_REASONS.get(key, "")
-                for key in ("forced", "numba", "cc")
-                if key in _BACKEND_REASONS
-            )
+            reason = _cc.build_error() or "cc backend unavailable"
             warnings.warn(
                 "tier='compiled' requested but no compiled backend is "
-                f"available ({reasons}); falling back to the numpy tier "
+                f"available ({reason}); falling back to the numpy tier "
                 "(bit-identical, slower)",
                 CompiledTierUnavailableWarning,
                 stacklevel=2,
@@ -182,8 +110,9 @@ class CongestionTable:
     """Per-slot congestion timelines in flat searchable form.
 
     ``offsets[s] : offsets[s + 1]`` spans slot ``s``'s chronologically
-    sorted event ``times`` and the congested-after-event ``flags`` — the
-    array twin of the numpy tier's ``{slot: (times, flags)}`` dict.
+    sorted event ``times`` and the congested-after-event ``flags``, so a
+    node's congestion state at any instant is one binary search. Every
+    tier builds and reads this one format.
     """
 
     offsets: npt.NDArray[np.int64]  # (m + 1,)
@@ -199,30 +128,26 @@ class CongestionTable:
         )
 
 
+_I64P = ctypes.POINTER(ctypes.c_int64)
+_F64P = ctypes.POINTER(ctypes.c_double)
+_U8P = ctypes.POINTER(ctypes.c_uint8)
+
+
 def _as_c(array: np.ndarray, dtype: Any) -> np.ndarray:
     return np.ascontiguousarray(array, dtype=dtype)
 
 
 class KernelSet:
-    """Uniform kernel interface over the numba and cc backends.
+    """ctypes binding to the bundled C kernel library.
 
     Every method takes and returns numpy arrays; scratch allocation and
-    pointer plumbing stay in here so the fast engine reads the same
-    either way.
+    pointer plumbing stay in here so the fast engine never sees them.
     """
 
-    def __init__(self, backend: str) -> None:
-        self.backend = backend
-        if backend == "numba":
-            self._numba = _load_numba()
-            if self._numba is None:  # pragma: no cover - defensive
-                raise SimulationError("numba backend requested but missing")
-        elif backend == "cc":
-            self._library = _load_cc()
-            if self._library is None:  # pragma: no cover - defensive
-                raise SimulationError("cc backend requested but missing")
-        else:
-            raise SimulationError(f"unknown compiled backend {backend!r}")
+    def __init__(self) -> None:
+        self._library = _cc.load_library()
+        if self._library is None:  # pragma: no cover - defensive
+            raise SimulationError("compiled tier requested but unavailable")
 
     # ------------------------------------------------------------------
     # Grouped token-bucket Lindley replay
@@ -239,12 +164,6 @@ class KernelSet:
         slots = _as_c(slots, np.int64)
         times = _as_c(times, np.float64)
         n = len(slots)
-        if self.backend == "numba":
-            return tuple(
-                self._numba.bucket_scan(
-                    slots, times, m, capacity, burst, want_flags
-                )
-            )
         accept = np.zeros(n, dtype=np.uint8)
         offered = np.zeros(m, dtype=np.int64)
         accepted = np.zeros(m, dtype=np.int64)
@@ -255,29 +174,24 @@ class KernelSet:
         cursor = np.empty(m, dtype=np.int64)
         tmp = np.empty(n, dtype=np.int64)
         svals = np.empty(n, dtype=np.float64)
-        import ctypes
-
-        i64p = ctypes.POINTER(ctypes.c_int64)
-        f64p = ctypes.POINTER(ctypes.c_double)
-        u8p = ctypes.POINTER(ctypes.c_uint8)
         self._library.repro_bucket_scan(
-            slots.ctypes.data_as(i64p),
-            times.ctypes.data_as(f64p),
+            slots.ctypes.data_as(_I64P),
+            times.ctypes.data_as(_F64P),
             n,
             m,
             capacity,
             burst,
             1 if want_flags else 0,
-            accept.ctypes.data_as(u8p),
-            offered.ctypes.data_as(i64p),
-            accepted.ctypes.data_as(i64p),
-            offsets.ctypes.data_as(i64p),
-            order.ctypes.data_as(i64p),
-            flags.ctypes.data_as(u8p),
-            tsorted.ctypes.data_as(f64p),
-            cursor.ctypes.data_as(i64p),
-            tmp.ctypes.data_as(i64p),
-            svals.ctypes.data_as(f64p),
+            accept.ctypes.data_as(_U8P),
+            offered.ctypes.data_as(_I64P),
+            accepted.ctypes.data_as(_I64P),
+            offsets.ctypes.data_as(_I64P),
+            order.ctypes.data_as(_I64P),
+            flags.ctypes.data_as(_U8P),
+            tsorted.ctypes.data_as(_F64P),
+            cursor.ctypes.data_as(_I64P),
+            tmp.ctypes.data_as(_I64P),
+            svals.ctypes.data_as(_F64P),
         )
         return accept, offered, accepted, offsets, order, flags, tsorted
 
@@ -289,9 +203,9 @@ class KernelSet:
         capacity: float,
         burst: float,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Drop-in for ``fastsim._grouped_bucket_scan``: returns
-        ``(accept, unique_slots, accepted_per, dropped_per)`` with accept
-        aligned to the *input* event order."""
+        """Grouped token-bucket replay: returns ``(accept, unique_slots,
+        accepted_per, dropped_per)`` with accept aligned to the *input*
+        event order (``fastsim._grouped_bucket_scan``'s convention)."""
         accept, offered, accepted, _, _, _, _ = self._scan_raw(
             slots, times, m, capacity, burst, want_flags=False
         )
@@ -333,37 +247,26 @@ class KernelSet:
         healthy8 = _as_c(healthy, np.uint8)
         decision_t = _as_c(decision_t, np.float64)
         rows, cols = nbr.shape
-        if self.backend == "numba":
-            routable, chosen = self._numba.route(
-                u, nbr, healthy8, decision_t,
-                table.offsets, table.times, table.flags,
-            )
-            return routable.astype(bool), chosen
         m = len(table.offsets) - 1
         routable = np.zeros(rows, dtype=np.uint8)
         chosen = np.empty(rows, dtype=np.int64)
         cursor = np.empty(max(m, 1), dtype=np.int64)
         scratch = np.empty(max(cols, 1), dtype=np.uint8)
-        import ctypes
-
-        i64p = ctypes.POINTER(ctypes.c_int64)
-        f64p = ctypes.POINTER(ctypes.c_double)
-        u8p = ctypes.POINTER(ctypes.c_uint8)
         self._library.repro_route(
-            u.ctypes.data_as(f64p),
-            nbr.ctypes.data_as(i64p),
-            healthy8.ctypes.data_as(u8p),
-            decision_t.ctypes.data_as(f64p),
+            u.ctypes.data_as(_F64P),
+            nbr.ctypes.data_as(_I64P),
+            healthy8.ctypes.data_as(_U8P),
+            decision_t.ctypes.data_as(_F64P),
             rows,
             cols,
             m,
-            table.offsets.ctypes.data_as(i64p),
-            table.times.ctypes.data_as(f64p),
-            table.flags.ctypes.data_as(u8p),
-            cursor.ctypes.data_as(i64p),
-            scratch.ctypes.data_as(u8p),
-            routable.ctypes.data_as(u8p),
-            chosen.ctypes.data_as(i64p),
+            table.offsets.ctypes.data_as(_I64P),
+            table.times.ctypes.data_as(_F64P),
+            table.flags.ctypes.data_as(_U8P),
+            cursor.ctypes.data_as(_I64P),
+            scratch.ctypes.data_as(_U8P),
+            routable.ctypes.data_as(_U8P),
+            chosen.ctypes.data_as(_I64P),
         )
         return routable.astype(bool), chosen
 
@@ -379,17 +282,12 @@ class KernelSet:
         maxv: float,
     ) -> Tuple[int, float, float, float]:
         values = _as_c(values, np.float64)
-        if self.backend == "numba":
-            out = self._numba.welford(values, count, mean, m2, maxv)
-            return int(out[0]), float(out[1]), float(out[2]), float(out[3])
-        import ctypes
-
         c_count = ctypes.c_int64(count)
         c_mean = ctypes.c_double(mean)
         c_m2 = ctypes.c_double(m2)
         c_max = ctypes.c_double(maxv)
         self._library.repro_welford(
-            values.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
+            values.ctypes.data_as(_F64P),
             len(values),
             ctypes.byref(c_count),
             ctypes.byref(c_mean),
@@ -417,33 +315,24 @@ class KernelSet:
         sigmas = _as_c(sigmas, np.float64)
         rows, bins = series.shape
         method_code = 0 if method == "cusum" else 1
-        if self.backend == "numba":
-            result = self._numba.detect(
-                series, means, sigmas, base_end, method_code,
-                threshold, drift, alpha,
-            )
-            return np.asarray(result, dtype=np.int64)
         out = np.empty(rows, dtype=np.int64)
-        import ctypes
-
-        f64p = ctypes.POINTER(ctypes.c_double)
         self._library.repro_detect(
-            series.ctypes.data_as(f64p),
+            series.ctypes.data_as(_F64P),
             rows,
             bins,
-            means.ctypes.data_as(f64p),
-            sigmas.ctypes.data_as(f64p),
+            means.ctypes.data_as(_F64P),
+            sigmas.ctypes.data_as(_F64P),
             base_end,
             method_code,
             threshold,
             drift,
             alpha,
-            out.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
+            out.ctypes.data_as(_I64P),
         )
         return out
 
 
-_KERNELS: Dict[str, KernelSet] = {}
+_KERNELS: Optional[KernelSet] = None
 
 
 def get_kernels(tier: str) -> Optional[KernelSet]:
@@ -452,16 +341,12 @@ def get_kernels(tier: str) -> Optional[KernelSet]:
     ``None`` means "run the interpreter-tier code path" — both the
     numpy default and the scalar reference return it.
     """
-    if tier != "compiled":
+    global _KERNELS
+    if tier != "compiled" or compiled_backend() is None:
         return None
-    backend = compiled_backend()
-    if backend is None:
-        return None
-    kernels = _KERNELS.get(backend)
-    if kernels is None:
-        kernels = KernelSet(backend)
-        _KERNELS[backend] = kernels
-    return kernels
+    if _KERNELS is None:
+        _KERNELS = KernelSet()
+    return _KERNELS
 
 
 # ----------------------------------------------------------------------
@@ -542,15 +427,8 @@ def detect_bins_batch(
 
 
 def _reset_for_tests() -> None:
-    """Forget resolved backends/warnings (test hook)."""
-    global _BACKEND, _BACKEND_RESOLVED, _WARNED
-    global _NUMBA_MODULE, _NUMBA_TRIED, _CC_LIBRARY, _CC_TRIED
-    _BACKEND = None
-    _BACKEND_RESOLVED = False
+    """Forget the loaded library and the one-time warning (test hook)."""
+    global _WARNED, _KERNELS
+    _cc._reset_for_tests()
     _WARNED = False
-    _NUMBA_MODULE = None
-    _NUMBA_TRIED = False
-    _CC_LIBRARY = None
-    _CC_TRIED = False
-    _BACKEND_REASONS.clear()
-    _KERNELS.clear()
+    _KERNELS = None

@@ -510,51 +510,6 @@ def _scalar_bucket_scan(
     return accept, unique_slots, accepted_per, dropped_per
 
 
-#: Interpreter-tier scan implementations, keyed by resolved tier name.
-#: The compiled tier dispatches through :class:`KernelSet` instead.
-_SCAN_BY_TIER: Dict[str, Callable[..., Tuple[np.ndarray, ...]]] = {
-    "scalar": _scalar_bucket_scan,
-    "numpy": _grouped_bucket_scan,
-}
-
-
-def _congestion_timelines(
-    slots: np.ndarray,
-    times: np.ndarray,
-    capacity: float,
-    burst: float,
-    scan: Callable[..., Tuple[np.ndarray, ...]] = _grouped_bucket_scan,
-) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
-    """Per slot: (chronological event times, congested-after-event flags).
-
-    Replays the merged event stream of every slot through its token
-    bucket and evaluates the :attr:`NodeCapacity.is_congested` predicate
-    (>= 10 offers observed and cumulative drop rate >= 0.5) after every
-    event, so forwarding decisions can look up a node's congestion state
-    at any instant with one ``searchsorted``.
-    """
-    timelines: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    if len(slots) == 0:
-        return timelines
-    order = np.lexsort((times, slots))
-    t_sorted = times[order]
-    accept, unique_slots, _, _ = scan(slots, times, capacity, burst)
-    a_sorted = accept[order]
-    _, starts, counts = np.unique(
-        slots[order], return_index=True, return_counts=True
-    )
-    for g, slot in enumerate(unique_slots):
-        lo = int(starts[g])
-        hi = lo + int(counts[g])
-        node_times = t_sorted[lo:hi]
-        node_accept = a_sorted[lo:hi]
-        total = np.arange(1, len(node_times) + 1)
-        drops = np.cumsum(~node_accept)
-        flags = (total >= 10) & (drops / total >= 0.5)
-        timelines[int(slot)] = (node_times, flags)
-    return timelines
-
-
 def _flood_events(
     flood_slots: Sequence[int],
     flood_times: Sequence[np.ndarray],
@@ -572,20 +527,6 @@ def _flood_events(
     )
     times_flat = np.concatenate([times for _, times in populated])
     return slots, times_flat
-
-
-def _flood_congestion_timelines(
-    flood_slots: Sequence[int],
-    flood_times: Sequence[np.ndarray],
-    capacity: float,
-    burst: float,
-    scan: Callable[..., Tuple[np.ndarray, ...]] = _grouped_bucket_scan,
-) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
-    """Flood-only congestion timelines, keyed by flooded slot."""
-    slots, times_flat = _flood_events(flood_slots, flood_times)
-    if len(slots) == 0:
-        return {}
-    return _congestion_timelines(slots, times_flat, capacity, burst, scan)
 
 
 def _route_uniform(
@@ -616,22 +557,92 @@ def _route_uniform(
     return routable, chosen
 
 
-def _congested_at(
-    timelines: Dict[int, Tuple[np.ndarray, np.ndarray]],
-    neighbor_slots: np.ndarray,
-    decision_times: np.ndarray,
-) -> np.ndarray:
-    """Congestion mask for a ``(packets, m)`` neighbor matrix at the
-    per-packet decision times."""
-    congested = np.zeros(neighbor_slots.shape, dtype=bool)
-    for slot, (times, flags) in timelines.items():
-        hit = neighbor_slots == slot
-        if not bool(hit.any()):
-            continue
-        index = np.searchsorted(times, decision_times, side="right") - 1
-        state = np.where(index >= 0, flags[np.maximum(index, 0)], False)
-        congested |= hit & state[:, None]
-    return congested
+class _InterpreterKernels:
+    """The scalar and numpy tiers behind :class:`KernelSet`'s signatures.
+
+    ``scan`` is the tier's token-bucket replay; the congestion table and
+    the routing pick are shared numpy code. :func:`run_fast` calls the
+    same three stage methods whatever the tier.
+    """
+
+    def __init__(
+        self, scan: Callable[..., Tuple[np.ndarray, ...]]
+    ) -> None:
+        self._scan = scan
+
+    def bucket_scan(
+        self,
+        slots: np.ndarray,
+        times: np.ndarray,
+        m: int,
+        capacity: float,
+        burst: float,
+    ) -> Tuple[np.ndarray, ...]:
+        return self._scan(slots, times, capacity, burst)
+
+    def timeline_table(
+        self,
+        slots: np.ndarray,
+        times: np.ndarray,
+        m: int,
+        capacity: float,
+        burst: float,
+    ) -> CongestionTable:
+        """Congestion timelines for every slot present in the events.
+
+        Replays each slot's merged event stream through its token bucket
+        and evaluates the :attr:`NodeCapacity.is_congested` predicate
+        (>= 10 offers observed and cumulative drop rate >= 0.5) after
+        every event.
+        """
+        if len(slots) == 0:
+            return CongestionTable.empty(m)
+        order = np.lexsort((times, slots))
+        accept, _, _, _ = self._scan(slots, times, capacity, burst)
+        offsets = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(slots, minlength=m), out=offsets[1:])
+        starts = np.repeat(offsets[:-1], np.diff(offsets))
+        drops_so_far = np.cumsum(~accept[order])
+        drops_before = np.concatenate([[0], drops_so_far])[starts]
+        total = np.arange(1, len(slots) + 1) - starts
+        drops = drops_so_far - drops_before
+        flags = (total >= 10) & (drops / total >= 0.5)
+        return CongestionTable(
+            offsets=offsets, times=times[order], flags=flags.view(np.uint8)
+        )
+
+    def route(
+        self,
+        u: np.ndarray,
+        neighbor_slots: np.ndarray,
+        healthy: np.ndarray,
+        decision_t: np.ndarray,
+        table: CongestionTable,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(routable, chosen)``: uniform pick among the healthy
+        neighbors not congested at each row's decision time."""
+        congested = np.zeros(neighbor_slots.shape, dtype=bool)
+        offsets = table.offsets
+        for slot in np.flatnonzero(offsets[1:] > offsets[:-1]).tolist():
+            hit = neighbor_slots == slot
+            if not bool(hit.any()):
+                continue
+            lo, hi = int(offsets[slot]), int(offsets[slot + 1])
+            flags = table.flags[lo:hi].view(bool)
+            index = np.searchsorted(
+                table.times[lo:hi], decision_t, side="right"
+            ) - 1
+            state = np.where(index >= 0, flags[np.maximum(index, 0)], False)
+            congested |= hit & state[:, None]
+        return _route_uniform(u, neighbor_slots, healthy & ~congested)
+
+
+#: Interpreter-tier kernels, keyed by resolved tier name. The compiled
+#: tier uses :class:`KernelSet` instead.
+_INTERPRETER_KERNELS: Dict[str, _InterpreterKernels] = {
+    "scalar": _InterpreterKernels(_scalar_bucket_scan),
+    "numpy": _InterpreterKernels(_grouped_bucket_scan),
+}
 
 
 # ----------------------------------------------------------------------
@@ -686,9 +697,10 @@ def run_fast(
     ``config.tier`` selects the kernel implementation for the token
     bucket replay, congestion lookups, routing picks, and the latency
     fold: ``scalar`` (per-event Python reference), ``numpy`` (default),
-    or ``compiled`` (:mod:`repro.perf.compiled`; machine code via numba
-    or the bundled C backend, degrading to numpy with a one-time
-    warning when neither is available). All tiers make identical RNG
+    or ``compiled`` (:mod:`repro.perf.compiled`; the bundled C kernels,
+    degrading to numpy with a one-time warning when they cannot be
+    built). Every tier exposes the same stage methods and the same
+    :class:`~repro.perf.compiled.CongestionTable`, makes identical RNG
     draws and identical accept/drop/route decisions, so reports are
     bit-identical across tiers wherever the numpy path is exact.
 
@@ -711,8 +723,7 @@ def run_fast(
     capacity = config.node_capacity
     burst = 2.0 * config.node_capacity
     tier = resolve_tier(config.tier)
-    kernels = get_kernels(tier)
-    scan = _SCAN_BY_TIER.get(tier, _grouped_bucket_scan)
+    kernels = get_kernels(tier) or _INTERPRETER_KERNELS[tier]
     total_slots = len(arrays.node_ids)
     report = PacketSimReport()
 
@@ -847,17 +858,10 @@ def run_fast(
     report.attack_packets_absorbed += int(
         sum(len(times) for times in sched_attack.values())
     )
-    timelines: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    flood_table = CongestionTable.empty(total_slots)
-    if kernels is not None:
-        fslots, ftimes = _flood_events(attack_slots, attack_rows)
-        flood_table = kernels.timeline_table(
-            fslots, ftimes, total_slots, capacity, burst
-        )
-    else:
-        timelines = _flood_congestion_timelines(
-            attack_slots, attack_rows, capacity, burst, scan
-        )
+    fslots, ftimes = _flood_events(attack_slots, attack_rows)
+    flood_table = kernels.timeline_table(
+        fslots, ftimes, total_slots, capacity, burst
+    )
 
     # Surge sources ride the client injection pipeline: rows appended
     # after the baseline clients, matching their contact-matrix rows.
@@ -936,16 +940,11 @@ def run_fast(
         times_flat = np.concatenate(event_times)
         if len(slots_flat) == 0:
             continue
-        if kernels is not None:
-            accept_flat, unique_slots, accepted_per, dropped_per = (
-                kernels.bucket_scan(
-                    slots_flat, times_flat, total_slots, capacity, burst
-                )
+        accept_flat, unique_slots, accepted_per, dropped_per = (
+            kernels.bucket_scan(
+                slots_flat, times_flat, total_slots, capacity, burst
             )
-        else:
-            accept_flat, unique_slots, accepted_per, dropped_per = scan(
-                slots_flat, times_flat, capacity, burst
-            )
+        )
         if monitor is not None:
             # Every offer this layer's buckets saw (legit + flood) with
             # its accept/drop outcome — the batch mirror of the event
@@ -972,7 +971,7 @@ def run_fast(
             delivered = int(ok.sum())
             report.delivered += delivered
             latency_values = arrive_t[ok] - sent_t[ok]
-            if kernels is not None and not config.keep_latencies:
+            if isinstance(kernels, KernelSet) and not config.keep_latencies:
                 (
                     report.latency_count,
                     report.latency_mean,
@@ -1009,15 +1008,9 @@ def run_fast(
         # flood-only view cannot see (the residual error is the
         # second-order effect of re-routing on those arrival streams).
         hop_u = choice_u[:, layer]
-        if kernels is not None:
-            routable, chosen = kernels.route(
-                hop_u, neighbor_slots, healthy_next, decision_t, flood_table
-            )
-        else:
-            live = healthy_next & ~_congested_at(
-                timelines, neighbor_slots, decision_t
-            )
-            routable, chosen = _route_uniform(hop_u, neighbor_slots, live)
+        routable, chosen = kernels.route(
+            hop_u, neighbor_slots, healthy_next, decision_t, flood_table
+        )
         tentative_arrival = arrive_t + config.hop_latency
         next_flood = [
             slot for slot in attack_slots
@@ -1033,29 +1026,16 @@ def run_fast(
         # Same per-packet uniforms, refined live sets: re-evaluating is
         # free (no stream consumption) and rows whose live set did not
         # change keep their pass-1 choice.
-        if kernels is not None:
-            refined_table = kernels.timeline_table(
-                np.concatenate(ev_slots),
-                np.concatenate(ev_times),
-                total_slots,
-                capacity,
-                burst,
-            )
-            routable, chosen = kernels.route(
-                hop_u, neighbor_slots, healthy_next, decision_t, refined_table
-            )
-        else:
-            refined = _congestion_timelines(
-                np.concatenate(ev_slots),
-                np.concatenate(ev_times),
-                capacity,
-                burst,
-                scan,
-            )
-            live = healthy_next & ~_congested_at(
-                refined, neighbor_slots, decision_t
-            )
-            routable, chosen = _route_uniform(hop_u, neighbor_slots, live)
+        refined_table = kernels.timeline_table(
+            np.concatenate(ev_slots),
+            np.concatenate(ev_times),
+            total_slots,
+            capacity,
+            burst,
+        )
+        routable, chosen = kernels.route(
+            hop_u, neighbor_slots, healthy_next, decision_t, refined_table
+        )
 
         stranded_count = int(len(routable) - int(routable.sum()))
         if stranded_count:

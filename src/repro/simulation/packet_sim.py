@@ -78,10 +78,11 @@ class PacketSimConfig:
                 raise SimulationError(f"{name} must be > 0")
         if self.clients < 0:
             raise SimulationError("clients must be >= 0")
-        if self.tier not in ("scalar", "numpy", "compiled"):
+        from repro.perf.compiled import TIERS
+
+        if self.tier not in TIERS:
             raise SimulationError(
-                "tier must be one of ('scalar', 'numpy', 'compiled'), "
-                f"got {self.tier!r}"
+                f"tier must be one of {TIERS}, got {self.tier!r}"
             )
         if not 0.0 <= self.flood_start < self.duration:
             raise SimulationError(

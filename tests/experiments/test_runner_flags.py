@@ -23,15 +23,13 @@ def test_tier_choices():
         parser.parse_args(["scn-zoo", "--tier", "gpu"])
 
 
-def test_event_engine_is_a_compatible_alias(capsys):
-    # --event-engine alone still works; combined with a contradictory
-    # --engine it must fail loudly instead of silently picking one.
-    assert main(["bogus-fig", "--engine", "fast", "--event-engine"]) == 2
-    assert "disagree" in capsys.readouterr().err
-
-
-def test_engine_and_alias_agreeing_is_accepted(capsys):
-    # ERROR (unknown figure) not the disagreement exit: flag handling
-    # passed and the runner proceeded to figure lookup.
-    assert main(["bogus-fig", "--engine", "event", "--event-engine"]) == 2
+def test_engine_flag_reaches_figure_lookup(capsys):
+    # ERROR (unknown figure), not a usage exit: flag handling passed and
+    # the runner proceeded to figure lookup.
+    assert main(["bogus-fig", "--engine", "event"]) == 2
     assert "ERROR" in capsys.readouterr().err
+
+
+def test_event_engine_alias_is_gone():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["scn-zoo", "--event-engine"])

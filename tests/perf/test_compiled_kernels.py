@@ -1,4 +1,4 @@
-"""Kernel-level bit-identity: compiled backends vs the numpy oracles.
+"""Kernel-level bit-identity: the compiled kernels vs the numpy oracles.
 
 Every compiled kernel (token-bucket Lindley replay, congestion
 timelines, fused congestion-aware routing, Welford fold, CUSUM/EWMA
@@ -8,9 +8,9 @@ compiled tier is documented as a pure speed knob. These tests replay
 randomized workloads through both implementations and require equality,
 not closeness.
 
-Skipped wholesale when no compiled backend (numba or the bundled C
-kernels) is usable in this environment; `tests/perf/test_compiled_tier.py`
-covers the degradation path itself.
+Skipped wholesale when the bundled C kernels cannot be built in this
+environment; `tests/perf/test_compiled_tier.py` covers the degradation
+path itself.
 """
 
 from __future__ import annotations
@@ -25,17 +25,17 @@ from repro.perf.compiled import (
     get_kernels,
 )
 from repro.perf.fastsim import (
-    _congested_at,
-    _congestion_timelines,
+    _INTERPRETER_KERNELS,
     _grouped_bucket_scan,
-    _route_uniform,
     _scalar_bucket_scan,
 )
 
 pytestmark = pytest.mark.skipif(
     compiled_backend() is None,
-    reason="no compiled backend (numba or cc) available",
+    reason="no compiled backend available",
 )
+
+NUMPY = _INTERPRETER_KERNELS["numpy"]
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +101,7 @@ class TestBucketScan:
 class TestTimelineTable:
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_dict_timelines(self, kernels, seed):
+        """The C table equals the numpy tier's table, array for array."""
         rng = np.random.default_rng(200 + seed)
         m = int(rng.integers(1, 30))
         n = int(rng.integers(1, 300))
@@ -108,19 +109,12 @@ class TestTimelineTable:
         burst = float(np.ceil(rng.uniform(1.0, 6.0)))
         slots, times = _random_events(rng, m, n)
         table = kernels.timeline_table(slots, times, m, capacity, burst)
-        timelines = _congestion_timelines(slots, times, capacity, burst)
+        expected = NUMPY.timeline_table(slots, times, m, capacity, burst)
         assert table.offsets.shape == (m + 1,)
         assert int(table.offsets[-1]) == n
-        for slot in range(m):
-            lo, hi = int(table.offsets[slot]), int(table.offsets[slot + 1])
-            if slot not in timelines:
-                assert lo == hi
-                continue
-            node_times, node_flags = timelines[slot]
-            np.testing.assert_array_equal(table.times[lo:hi], node_times)
-            np.testing.assert_array_equal(
-                table.flags[lo:hi].astype(bool), node_flags
-            )
+        np.testing.assert_array_equal(table.offsets, expected.offsets)
+        np.testing.assert_array_equal(table.times, expected.times)
+        np.testing.assert_array_equal(table.flags, expected.flags)
 
     def test_empty_is_empty(self, kernels):
         table = kernels.timeline_table(
@@ -141,8 +135,7 @@ class TestRoute:
         capacity = float(rng.uniform(0.2, 3.0))
         burst = float(np.ceil(rng.uniform(1.0, 4.0)))
         slots, times = _random_events(rng, m, int(rng.integers(0, 250)))
-        table = kernels.timeline_table(slots, times, m, capacity, burst)
-        timelines = _congestion_timelines(slots, times, capacity, burst)
+        table = NUMPY.timeline_table(slots, times, m, capacity, burst)
 
         u = rng.random(rows)
         nbr = rng.integers(0, m, size=(rows, cols)).astype(np.int64)
@@ -154,9 +147,9 @@ class TestRoute:
             # binary-search fallback honest.
             decision_t = np.sort(decision_t)
 
-        congested = _congested_at(timelines, nbr, decision_t)
-        live = healthy & ~congested
-        exp_routable, exp_chosen = _route_uniform(u, nbr, live)
+        exp_routable, exp_chosen = NUMPY.route(
+            u, nbr, healthy, decision_t, table
+        )
         got_routable, got_chosen = kernels.route(
             u, nbr, healthy.astype(np.uint8), decision_t, table
         )

@@ -21,7 +21,7 @@ from repro.core import SOSArchitecture
 from repro.detection.monitor import MonitorConfig, TrafficMonitor
 from repro.errors import DetectionError
 from repro.overlay.arrays import HEALTH_COMPROMISED, HEALTH_CRASHED
-from repro.perf import compiled
+from repro.perf import _cc, compiled
 from repro.perf.compiled import (
     CompiledTierUnavailableWarning,
     available_tiers,
@@ -195,17 +195,24 @@ class TestDegradation:
     """tier='compiled' with no backend: warn once, run numpy, same bits."""
 
     @pytest.fixture()
-    def no_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILED_BACKEND", "none")
+    def no_backend(self, monkeypatch, tmp_path):
+        # No usable compiler and an empty build cache: the C kernels
+        # cannot be built or loaded, so nothing compiled is available.
+        monkeypatch.setenv("REPRO_CC", "repro-no-such-compiler")
+        monkeypatch.setenv("REPRO_CC_CACHE", str(tmp_path))
         compiled._reset_for_tests()
         yield
-        monkeypatch.delenv("REPRO_COMPILED_BACKEND", raising=False)
+        monkeypatch.undo()
         compiled._reset_for_tests()
 
     def test_warns_once_and_degrades(self, no_backend):
+        assert compiled_backend() is None
         assert available_tiers() == ("scalar", "numpy")
-        with pytest.warns(CompiledTierUnavailableWarning):
+        build_error = _cc.build_error()
+        assert build_error
+        with pytest.warns(CompiledTierUnavailableWarning) as record:
             assert resolve_tier("compiled") == "numpy"
+        assert build_error in str(record[0].message)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert resolve_tier("compiled") == "numpy"  # silent now
@@ -216,13 +223,3 @@ class TestDegradation:
             degraded = run_at("compiled", 2, targets=True)
         expected = run_at("numpy", 2, targets=True)
         assert dataclasses.asdict(degraded) == dataclasses.asdict(expected)
-
-    def test_forced_backend_env_respected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILED_BACKEND", "cc")
-        compiled._reset_for_tests()
-        try:
-            backend = compiled_backend()
-            assert backend in ("cc", None)  # None: no C toolchain here
-        finally:
-            monkeypatch.delenv("REPRO_COMPILED_BACKEND", raising=False)
-            compiled._reset_for_tests()

@@ -350,8 +350,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.require_compiled and compiled_backend() is None:
         print(
-            "bench-ladder: no compiled backend (numba missing and no "
-            "working C compiler) but --require-compiled was set",
+            "bench-ladder: no compiled backend (the bundled C kernels "
+            "could not be built) but --require-compiled was set",
             file=sys.stderr,
         )
         return 1
