@@ -45,7 +45,6 @@ from repro.detection.marking import (
 )
 from repro.detection.monitor import MonitorConfig, TrafficMonitor
 from repro.errors import DetectionError
-from repro.perf.compiled import TIERS
 from repro.repair.policy import RepairPolicy
 from repro.repair.defender import RepairingDefender
 from repro.simulation.packet_sim import (
@@ -141,29 +140,18 @@ class DetectionRepairLoop:
         policy: RepairPolicy,
         marking_config: Optional[MarkingConfig] = None,
         seed: Optional[int] = None,
-        tier: Optional[str] = None,
     ) -> None:
         if policy.is_noop:
             raise DetectionError(
                 "repair policy is a no-op (detection_probability <= 0); "
                 "detector-driven repair needs detection_probability=1.0"
             )
-        if tier is not None:
-            if tier not in TIERS:
-                raise DetectionError(
-                    f"tier must be one of {TIERS}, got {tier!r}"
-                )
-            # One knob drives both hot paths: the packet engine's kernel
-            # tier and the monitor's detector-scan tier.
-            sim_config = dataclasses.replace(sim_config, tier=tier)
         self.architecture = architecture
         self.sim_config = sim_config
         self.monitor_config = monitor_config
         self.policy = policy
         self.marking_config = marking_config
         self.seed = seed
-        self.tier = tier
-        self._monitor_tier = tier if tier is not None else "scalar"
 
     def run(
         self,
@@ -214,7 +202,7 @@ class DetectionRepairLoop:
         active = list(targets)
         outcomes: List[PhaseOutcome] = []
         for phase in range(phases):
-            monitor = TrafficMonitor(self.monitor_config, tier=self._monitor_tier)
+            monitor = TrafficMonitor(self.monitor_config)
             simulation = PacketLevelSimulation(
                 deployment,
                 self.sim_config,
@@ -270,18 +258,15 @@ class DetectionRepairLoop:
         monitor_config: Optional[MonitorConfig] = None,
         policy: Optional[RepairPolicy] = None,
         seed: Optional[int] = None,
-        tier: Optional[str] = None,
     ) -> "DetectionRepairLoop":
         """A loop wired for ``spec``: its architecture, its sim knobs.
 
-        ``tier`` overrides the spec's tier; ``seed`` overrides the
-        spec's seed (both default to what the spec pins, keeping zoo
-        runs reproducible from the JSON alone).
+        ``seed`` overrides the spec's seed (it defaults to what the spec
+        pins, keeping zoo runs reproducible from the JSON alone).
         """
-        resolved_tier = tier if tier is not None else spec.tier
         return cls(
             architecture=spec.build_architecture(),
-            sim_config=spec.sim_config(tier=resolved_tier),
+            sim_config=spec.sim_config(),
             monitor_config=(
                 monitor_config if monitor_config is not None else MonitorConfig()
             ),
@@ -291,7 +276,6 @@ class DetectionRepairLoop:
                 else RepairPolicy(detection_probability=1.0)
             ),
             seed=seed,
-            tier=resolved_tier,
         )
 
     def run_scenario(
@@ -367,9 +351,7 @@ class DetectionRepairLoop:
             )
             schedule = compiled.schedule.without_targets(repaired_union)
             active = [n for n in targets if n not in repaired_union]
-            monitor = TrafficMonitor(
-                self.monitor_config, tier=self._monitor_tier
-            )
+            monitor = TrafficMonitor(self.monitor_config)
             simulation = PacketLevelSimulation(
                 deployment,
                 self.sim_config,

@@ -42,7 +42,7 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.errors import DetectionError
-from repro.perf.compiled import TIERS, detect_bins_batch, resolve_tier
+from repro.perf.compiled import detect_bins_batch
 
 __all__ = ["MonitorConfig", "TrafficMonitor"]
 
@@ -174,24 +174,8 @@ class TrafficMonitor:
     token-bucket offer. All statistics queries aggregate lazily.
     """
 
-    def __init__(
-        self,
-        config: MonitorConfig = MonitorConfig(),
-        tier: str = "scalar",
-    ) -> None:
+    def __init__(self, config: MonitorConfig = MonitorConfig()) -> None:
         self.config = config
-        # Detector-scan tier: ``scalar`` (default) runs the per-node
-        # reference loop in :func:`_detection_bin`; ``numpy`` scans all
-        # nodes' statistics as one vector recursion; ``compiled``
-        # dispatches to :mod:`repro.perf.compiled`. All tiers produce
-        # identical flag sequences (the recursions perform the same
-        # float operations in the same order); only multi-node queries
-        # (:meth:`detection_bins` / :meth:`flagged_nodes`) change speed.
-        if tier not in TIERS:
-            raise DetectionError(
-                f"tier must be one of {TIERS}, got {tier!r}"
-            )
-        self.tier = tier
         # Columnar counter state: sorted packed ``node * STRIDE + bin``
         # codes with aligned offered/dropped tallies. Integer sums only,
         # so drain order cannot change the counters.
@@ -431,12 +415,11 @@ class TrafficMonitor:
     ) -> Dict[int, Optional[int]]:
         """Flagging bin per node (None = never) for many nodes at once.
 
-        The multi-node twin of :meth:`detection_bin`, evaluated at the
-        monitor's ``tier``: ``scalar`` runs the reference loop per node;
-        ``numpy``/``compiled`` stack every node's series into one matrix
-        and scan all CUSUM/EWMA recursions together. Results are
-        identical across tiers — the batched scans replay the scalar
-        arithmetic element for element.
+        The multi-node twin of :meth:`detection_bin`: every node's series
+        is stacked into one matrix and all CUSUM/EWMA recursions are
+        scanned together (in C when the kernel library loads, in numpy
+        otherwise). Results equal the per-node scan's — the batched
+        scans replay its arithmetic element for element.
         """
         resolved = self._resolved(config)
         ids = self.nodes() if node_ids is None else list(node_ids)
@@ -447,13 +430,6 @@ class TrafficMonitor:
         if now is not None:
             through = min(through, int(now / resolved.bin_width) - 1)
         if through < 0 or not ids:
-            return result
-        tier = resolve_tier(self.tier)
-        if tier == "scalar":
-            for node_id in ids:
-                result[node_id] = _detection_bin(
-                    self.series(node_id, through), resolved
-                )
             return result
         start = resolved.warmup_bins
         base_end = start + resolved.baseline_bins
@@ -480,7 +456,6 @@ class TrafficMonitor:
             resolved.threshold,
             resolved.drift,
             resolved.ewma_alpha,
-            tier,
         )
         for row, node_id in enumerate(ids):
             crossed = int(crossings[row])

@@ -15,9 +15,8 @@ benchmark-snapshot workflow.
 :mod:`repro.perf.compiled` adds the compiled hot-path tier: machine-code
 kernels (bundled C, bound through ctypes) for the sequential recursions
 the numpy tier cannot vectorize, selected per run via
-``PacketSimConfig.tier`` / ``TrafficMonitor(tier=...)`` and bit-identical
-to the numpy oracle. ``tools/bench_ladder.py`` benchmarks every
-available tier side by side.
+``PacketSimConfig.tier`` and bit-identical to the numpy oracle.
+``tools/bench_ladder.py`` benchmarks both tiers side by side.
 """
 
 from repro.perf.batch import (

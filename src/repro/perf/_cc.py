@@ -219,7 +219,7 @@ void repro_bucket_scan(
 
 /* ------------------------------------------------------------------ */
 /* Fused congestion lookup + uniform routing                          */
-/* (fastsim._InterpreterKernels.route).                                */
+/* (fastsim.NUMPY_KERNELS.route).                                      */
 /* ------------------------------------------------------------------ */
 
 void repro_route(
@@ -310,7 +310,7 @@ void repro_route(
 }
 
 /* ------------------------------------------------------------------ */
-/* Streaming Welford fold (PacketSimReport.record_latency).            */
+/* Streaming Welford fold (fastsim.NUMPY_KERNELS.welford).            */
 /* ------------------------------------------------------------------ */
 
 void repro_welford(

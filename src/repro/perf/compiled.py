@@ -1,11 +1,7 @@
 """Compiled hot-path tier: backend resolution and kernel dispatch.
 
-The perf ladder runs every hot path at up to three tiers:
+The fast engine runs its hot paths at one of two tiers:
 
-``scalar``
-    Per-event Python arithmetic — the readable reference (for the packet
-    engines the event-driven oracle plays this role; for the grouped
-    bucket scan and the detectors it is a plain Python loop).
 ``numpy``
     The vectorized implementations that ship as the **default and
     oracle** — nothing about their behavior changes here.
@@ -23,11 +19,13 @@ The perf ladder runs every hot path at up to three tiers:
     property-tested in ``tests/perf/test_compiled_kernels.py`` and
     ``tests/perf/test_compiled_tier.py``.
 
-Tier selection is data (``PacketSimConfig.tier``,
-``TrafficMonitor(tier=...)``), resolved here. Requesting ``compiled``
-with no C compiler (or a failed build) degrades to ``numpy`` with a
-one-time :class:`CompiledTierUnavailableWarning` naming the reason, so
-code never has to guard on the environment.
+Tier selection is data (``PacketSimConfig.tier``), resolved here.
+Requesting ``compiled`` with no C compiler (or a failed build) degrades
+to ``numpy`` with a one-time :class:`CompiledTierUnavailableWarning`
+naming the reason, so code never has to guard on the environment. Code
+with no user-visible tier (the traffic monitor's detector scan) takes
+the C kernel whenever the library loads, silently: the two are
+bit-identical, so the choice is the platform's, not the caller's.
 """
 
 from __future__ import annotations
@@ -55,8 +53,8 @@ __all__ = [
     "resolve_tier",
 ]
 
-#: Every tier the ladder knows, slowest first.
-TIERS: Tuple[str, ...] = ("scalar", "numpy", "compiled")
+#: Every tier, slowest first.
+TIERS: Tuple[str, ...] = ("numpy", "compiled")
 
 
 class CompiledTierUnavailableWarning(RuntimeWarning):
@@ -74,7 +72,7 @@ def compiled_backend() -> Optional[str]:
 def available_tiers() -> Tuple[str, ...]:
     """The subset of :data:`TIERS` runnable in this environment."""
     if compiled_backend() is None:
-        return ("scalar", "numpy")
+        return ("numpy",)
     return TIERS
 
 
@@ -338,8 +336,7 @@ _KERNELS: Optional[KernelSet] = None
 def get_kernels(tier: str) -> Optional[KernelSet]:
     """The compiled :class:`KernelSet` for ``tier``, or ``None``.
 
-    ``None`` means "run the interpreter-tier code path" — both the
-    numpy default and the scalar reference return it.
+    ``None`` means "run the numpy tier's code path".
     """
     global _KERNELS
     if tier != "compiled" or compiled_backend() is None:
@@ -350,7 +347,7 @@ def get_kernels(tier: str) -> Optional[KernelSet]:
 
 
 # ----------------------------------------------------------------------
-# Batched detector scan (numpy tier) + dispatch for TrafficMonitor
+# Batched detector scan (numpy fallback) + dispatch for TrafficMonitor
 # ----------------------------------------------------------------------
 
 
@@ -367,7 +364,7 @@ def _detect_bins_numpy(
     """CUSUM/EWMA first crossings vectorized across nodes.
 
     The recursion runs bin by bin over a *vector* of per-node statistics;
-    each element performs the exact float operations of the scalar
+    each element performs the exact float operations of the per-node
     ``_detection_bin`` loop in the same order, so crossings are
     bit-identical to the per-node scan.
     """
@@ -407,16 +404,16 @@ def detect_bins_batch(
     threshold: float,
     drift: float,
     alpha: float,
-    tier: str,
 ) -> npt.NDArray[np.int64]:
-    """First-crossing bin per series row (-1 = never) at ``tier``.
+    """First-crossing bin per series row (-1 = never).
 
     ``series`` rows share one horizon; ``means``/``sigmas`` are the
-    per-row baseline statistics (computed by the caller with the scalar
-    tier's exact numpy calls). ``tier`` must already be resolved.
+    per-row baseline statistics (computed by the caller with the
+    per-node scan's exact numpy calls). Runs the C scan when the kernel
+    library loads and :func:`_detect_bins_numpy` otherwise.
     """
     series = np.ascontiguousarray(series, dtype=np.float64)
-    kernels = get_kernels(tier)
+    kernels = get_kernels("compiled")
     if kernels is not None:
         return kernels.detect_bins(
             series, means, sigmas, base_end, method, threshold, drift, alpha

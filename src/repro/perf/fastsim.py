@@ -49,19 +49,15 @@ import bisect
 import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.core.architecture import SOSArchitecture
 from repro.errors import SimulationError
 from repro.overlay.arrays import attach_columns, share_columns
-from repro.perf.compiled import (
-    CongestionTable,
-    KernelSet,
-    get_kernels,
-    resolve_tier,
-)
+from repro.perf.compiled import CongestionTable, get_kernels, resolve_tier
 from repro.simulation.packet_sim import (
     PacketLevelSimulation,
     PacketSimConfig,
@@ -461,55 +457,6 @@ def _grouped_bucket_scan(
     return accept, unique_slots, accepted_per, dropped_per
 
 
-def _scalar_bucket_scan(
-    slots: np.ndarray,
-    times: np.ndarray,
-    capacity: float,
-    burst: float,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-event Python replay of the grouped token-bucket scan.
-
-    The ``scalar`` tier reference: every event runs the Lindley deficit
-    recursion one at a time in plain Python floats — no closed form, no
-    run skipping. Same return convention and (property-tested) identical
-    decisions to :func:`_grouped_bucket_scan`; rejected events leave the
-    ``(z, y)`` state untouched because the clamp at zero makes the
-    deficit a pure function of the last *accept*, not of intervening
-    rejects.
-    """
-    n = len(slots)
-    slot_list = [int(value) for value in slots.tolist()]
-    time_list = [float(value) for value in times.tolist()]
-    order = sorted(range(n), key=lambda i: (slot_list[i], time_list[i]))
-    accept = np.zeros(n, dtype=bool)
-    limit = burst - 1.0
-    offered: Dict[int, int] = {}
-    taken: Dict[int, int] = {}
-    state: Dict[int, Tuple[float, float]] = {}
-    for i in order:
-        slot = slot_list[i]
-        s = time_list[i] * capacity
-        z, y = state.get(slot, (0.0, 0.0))
-        zp = z - (s - y)
-        if zp < 0.0:
-            zp = 0.0
-        offered[slot] = offered.get(slot, 0) + 1
-        if zp <= limit:
-            accept[i] = True
-            state[slot] = (zp + 1.0, s)
-            taken[slot] = taken.get(slot, 0) + 1
-    unique = sorted(offered)
-    unique_slots = np.asarray(unique, dtype=np.int64)
-    accepted_per = np.asarray(
-        [taken.get(slot, 0) for slot in unique], dtype=np.int64
-    )
-    dropped_per = np.asarray(
-        [offered[slot] - taken.get(slot, 0) for slot in unique],
-        dtype=np.int64,
-    )
-    return accept, unique_slots, accepted_per, dropped_per
-
-
 def _flood_events(
     flood_slots: Sequence[int],
     flood_times: Sequence[np.ndarray],
@@ -557,18 +504,13 @@ def _route_uniform(
     return routable, chosen
 
 
-class _InterpreterKernels:
-    """The scalar and numpy tiers behind :class:`KernelSet`'s signatures.
+class _NumpyKernels:
+    """The numpy tier behind :class:`KernelSet`'s signatures.
 
-    ``scan`` is the tier's token-bucket replay; the congestion table and
-    the routing pick are shared numpy code. :func:`run_fast` calls the
-    same three stage methods whatever the tier.
+    :func:`run_fast` calls the same four stage methods whatever the
+    tier. The token-bucket replay is looked up by module name on every
+    call, so tests can swap a reference scan in for a whole engine run.
     """
-
-    def __init__(
-        self, scan: Callable[..., Tuple[np.ndarray, ...]]
-    ) -> None:
-        self._scan = scan
 
     def bucket_scan(
         self,
@@ -578,7 +520,7 @@ class _InterpreterKernels:
         capacity: float,
         burst: float,
     ) -> Tuple[np.ndarray, ...]:
-        return self._scan(slots, times, capacity, burst)
+        return _grouped_bucket_scan(slots, times, capacity, burst)
 
     def timeline_table(
         self,
@@ -598,7 +540,7 @@ class _InterpreterKernels:
         if len(slots) == 0:
             return CongestionTable.empty(m)
         order = np.lexsort((times, slots))
-        accept, _, _, _ = self._scan(slots, times, capacity, burst)
+        accept, _, _, _ = _grouped_bucket_scan(slots, times, capacity, burst)
         offsets = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(np.bincount(slots, minlength=m), out=offsets[1:])
         starts = np.repeat(offsets[:-1], np.diff(offsets))
@@ -636,13 +578,33 @@ class _InterpreterKernels:
             congested |= hit & state[:, None]
         return _route_uniform(u, neighbor_slots, healthy & ~congested)
 
+    @staticmethod
+    def welford(
+        values: npt.ArrayLike,
+        count: int,
+        mean: float,
+        m2: float,
+        maxv: float,
+    ) -> Tuple[int, float, float, float]:
+        """Fold ``values`` into streaming ``(count, mean, m2, max)``.
 
-#: Interpreter-tier kernels, keyed by resolved tier name. The compiled
-#: tier uses :class:`KernelSet` instead.
-_INTERPRETER_KERNELS: Dict[str, _InterpreterKernels] = {
-    "scalar": _InterpreterKernels(_scalar_bucket_scan),
-    "numpy": _InterpreterKernels(_grouped_bucket_scan),
-}
+        The one Python definition of the Welford fold:
+        :meth:`PacketSimReport.record_latency` and the campaign's
+        ``P_S`` moments call it too, and the C kernel performs the same
+        float operations in the same order.
+        """
+        for value in np.asarray(values, dtype=np.float64).tolist():
+            delta = value - mean
+            count += 1
+            mean += delta / count
+            m2 += delta * (value - mean)
+            if value > maxv:
+                maxv = value
+        return count, mean, m2, maxv
+
+
+#: The numpy tier's kernels; the compiled tier uses :class:`KernelSet`.
+NUMPY_KERNELS = _NumpyKernels()
 
 
 # ----------------------------------------------------------------------
@@ -696,10 +658,10 @@ def run_fast(
 
     ``config.tier`` selects the kernel implementation for the token
     bucket replay, congestion lookups, routing picks, and the latency
-    fold: ``scalar`` (per-event Python reference), ``numpy`` (default),
-    or ``compiled`` (:mod:`repro.perf.compiled`; the bundled C kernels,
-    degrading to numpy with a one-time warning when they cannot be
-    built). Every tier exposes the same stage methods and the same
+    fold: ``numpy`` (default) or ``compiled``
+    (:mod:`repro.perf.compiled`; the bundled C kernels, degrading to
+    numpy with a one-time warning when they cannot be built). Both
+    tiers expose the same stage methods and the same
     :class:`~repro.perf.compiled.CongestionTable`, makes identical RNG
     draws and identical accept/drop/route decisions, so reports are
     bit-identical across tiers wherever the numpy path is exact.
@@ -722,8 +684,7 @@ def run_fast(
     layers = arrays.layers
     capacity = config.node_capacity
     burst = 2.0 * config.node_capacity
-    tier = resolve_tier(config.tier)
-    kernels = get_kernels(tier) or _INTERPRETER_KERNELS[tier]
+    kernels = get_kernels(resolve_tier(config.tier)) or NUMPY_KERNELS
     total_slots = len(arrays.node_ids)
     report = PacketSimReport()
 
@@ -971,22 +932,20 @@ def run_fast(
             delivered = int(ok.sum())
             report.delivered += delivered
             latency_values = arrive_t[ok] - sent_t[ok]
-            if isinstance(kernels, KernelSet) and not config.keep_latencies:
-                (
-                    report.latency_count,
-                    report.latency_mean,
-                    report.latency_m2,
-                    report.max_latency,
-                ) = kernels.welford(
-                    latency_values,
-                    report.latency_count,
-                    report.latency_mean,
-                    report.latency_m2,
-                    report.max_latency,
-                )
-            else:
-                for value in latency_values.tolist():
-                    report.record_latency(value, keep=config.keep_latencies)
+            (
+                report.latency_count,
+                report.latency_mean,
+                report.latency_m2,
+                report.max_latency,
+            ) = kernels.welford(
+                latency_values,
+                report.latency_count,
+                report.latency_mean,
+                report.latency_m2,
+                report.max_latency,
+            )
+            if config.keep_latencies:
+                report.latencies.extend(latency_values.tolist())
             break
 
         sent_t = sent_t[ok]

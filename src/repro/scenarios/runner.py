@@ -19,7 +19,7 @@ from repro.detection.loop import LOOP_MODES, DetectionRepairLoop, LoopResult
 from repro.detection.monitor import MonitorConfig
 from repro.errors import ScenarioError
 from repro.repair.policy import RepairPolicy
-from repro.perf.compiled import TIERS
+from repro.perf.compiled import resolve_tier
 from repro.scenarios.spec import SCENARIO_ENGINES, ScenarioSpec
 from repro.scenarios.zoo import load_scenario
 
@@ -132,7 +132,9 @@ def run_scenario(
 
     ``engine``/``tier``/``seed`` default to the spec's own knobs, so a
     bare ``run_scenario("pulsing-shrew")`` reproduces the committed
-    campaign bit for bit; overrides never mutate the spec.
+    campaign bit for bit; overrides never mutate the spec. The report
+    records the tier that actually ran: a ``compiled`` request without
+    a compiled backend reports ``numpy``.
     """
     spec = load_scenario(scenario) if isinstance(scenario, str) else scenario
     if not isinstance(spec, ScenarioSpec):
@@ -145,19 +147,15 @@ def run_scenario(
         raise ScenarioError(
             f"engine must be one of {SCENARIO_ENGINES}, got {engine!r}"
         )
-    if tier is not None and tier not in TIERS:
-        raise ScenarioError(
-            f"tier must be one of {TIERS}, got {tier!r}"
-        )
+    if tier is not None:
+        spec = dataclasses.replace(spec, tier=tier)
     resolved_engine = engine if engine is not None else spec.engine
-    resolved_tier = tier if tier is not None else spec.tier
     resolved_seed = seed if seed is not None else spec.seed
     loop = DetectionRepairLoop.for_scenario(
         spec,
         monitor_config=monitor_config,
         policy=policy,
         seed=resolved_seed,
-        tier=resolved_tier,
     )
     result = loop.run_scenario(
         spec,
@@ -167,5 +165,5 @@ def run_scenario(
         abort_check=abort_check,
     )
     return _summarize(
-        result, spec, resolved_engine, resolved_tier, resolved_seed
+        result, spec, resolved_engine, resolve_tier(spec.tier), resolved_seed
     )

@@ -282,10 +282,9 @@ class ScenarioSpec:
                     )
 
     # -- execution-facing accessors ------------------------------------
-    def sim_config(self, tier: Any = None) -> PacketSimConfig:
-        """The :class:`PacketSimConfig` this scenario runs under;
-        ``tier`` overrides the spec's own tier knob."""
-        return self.sim.to_config(tier=tier if tier is not None else self.tier)
+    def sim_config(self) -> PacketSimConfig:
+        """The :class:`PacketSimConfig` this scenario runs under."""
+        return self.sim.to_config(tier=self.tier)
 
     def build_architecture(self) -> SOSArchitecture:
         return self.architecture.build()

@@ -18,8 +18,6 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from repro.attacks.knowledge import AttackerKnowledge
 from repro.attacks.strategies import (
     _attempt_break_ins,
@@ -30,7 +28,7 @@ from repro.attacks.strategies import (
 from repro.core.architecture import SOSArchitecture
 from repro.core.attack_models import SuccessiveAttack
 from repro.errors import SimulationError
-from repro.perf.compiled import get_kernels, resolve_tier
+from repro.perf.fastsim import NUMPY_KERNELS
 from repro.repair.defender import RepairingDefender
 from repro.repair.policy import NO_REPAIR, RepairPolicy
 from repro.resilience.detector import DetectorConfig, FailureDetector
@@ -116,12 +114,10 @@ class CampaignSimulation:
         fault_plan: FaultPlan = ZERO_CHURN,
         detector_config: Optional[DetectorConfig] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        tier: str = "scalar",
     ) -> None:
         self.architecture = architecture
         self.attack = attack
         self.config = config
-        self.tier = resolve_tier(tier)
         factory = SeedSequenceFactory(seed)
         self._rng = factory.generator()
         self.deployment = SOSDeployment.deploy(architecture, rng=factory.generator())
@@ -261,27 +257,13 @@ class CampaignSimulation:
             )
 
     def _fold_p_s(self) -> Tuple[float, float]:
-        """Welford mean/variance of the ``P_S`` series at ``self.tier``.
-
-        The scalar loop performs the exact float operations of the
-        compiled kernel in the same order, so the two tiers agree bit
-        for bit.
-        """
+        """Welford mean/variance of the ``P_S`` series (a few dozen
+        samples, so the plain Python fold)."""
         if not self._ps:
             return 1.0, 0.0
-        values = np.asarray(self._ps, dtype=np.float64)
-        kernels = get_kernels(self.tier)
-        if kernels is not None:
-            count, mean, m2, _ = kernels.welford(
-                values, 0, 0.0, 0.0, float("-inf")
-            )
-        else:
-            count, mean, m2 = 0, 0.0, 0.0
-            for value in values.tolist():
-                delta = value - mean
-                count += 1
-                mean += delta / float(count)
-                m2 += delta * (value - mean)
+        count, mean, m2, _ = NUMPY_KERNELS.welford(
+            self._ps, 0, 0.0, 0.0, float("-inf")
+        )
         return mean, m2 / float(count)
 
     # ------------------------------------------------------------------
@@ -328,7 +310,6 @@ def run_campaign(
     fault_plan: FaultPlan = ZERO_CHURN,
     detector_config: Optional[DetectorConfig] = None,
     retry_policy: Optional[RetryPolicy] = None,
-    tier: str = "scalar",
 ) -> CampaignReport:
     """Convenience wrapper: build and run one :class:`CampaignSimulation`."""
     return CampaignSimulation(
@@ -340,5 +321,4 @@ def run_campaign(
         fault_plan=fault_plan,
         detector_config=detector_config,
         retry_policy=retry_policy,
-        tier=tier,
     ).run()

@@ -62,12 +62,11 @@ class PacketSimConfig:
     #: Off by default so long runs stay O(1) memory; the streaming
     #: count/mean/max statistics are always maintained.
     keep_latencies: bool = False
-    #: Kernel tier for the fast engine: ``"scalar"`` replays every hot
-    #: recursion in per-event Python (the readable reference),
-    #: ``"numpy"`` is the vectorized default and oracle, ``"compiled"``
-    #: dispatches to :mod:`repro.perf.compiled` machine-code kernels
-    #: (bit-identical; degrades to numpy with a one-time warning when no
-    #: compiled backend is available). The event engine ignores it.
+    #: Kernel tier for the fast engine: ``"numpy"`` is the vectorized
+    #: default and oracle, ``"compiled"`` dispatches to
+    #: :mod:`repro.perf.compiled` machine-code kernels (bit-identical;
+    #: degrades to numpy with a one-time warning when no compiled
+    #: backend is available). The event engine ignores it.
     tier: str = "numpy"
 
     def __post_init__(self) -> None:
@@ -118,12 +117,20 @@ class PacketSimReport:
 
     def record_latency(self, value: float, keep: bool = False) -> None:
         """Fold one delivered-packet latency into the streaming stats."""
-        self.latency_count += 1
-        delta = value - self.latency_mean
-        self.latency_mean += delta / self.latency_count
-        self.latency_m2 += delta * (value - self.latency_mean)
-        if value > self.max_latency:
-            self.max_latency = value
+        from repro.perf.fastsim import NUMPY_KERNELS  # circular at module level
+
+        (
+            self.latency_count,
+            self.latency_mean,
+            self.latency_m2,
+            self.max_latency,
+        ) = NUMPY_KERNELS.welford(
+            (value,),
+            self.latency_count,
+            self.latency_mean,
+            self.latency_m2,
+            self.max_latency,
+        )
         if keep:
             self.latencies.append(value)
 

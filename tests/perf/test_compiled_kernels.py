@@ -2,7 +2,7 @@
 
 Every compiled kernel (token-bucket Lindley replay, congestion
 timelines, fused congestion-aware routing, Welford fold, CUSUM/EWMA
-scan) must reproduce its interpreter-tier oracle *exactly* — same
+scan) must reproduce its numpy-tier oracle *exactly* — same
 accept/drop decisions, same flags, same IEEE doubles — because the
 compiled tier is documented as a pure speed knob. These tests replay
 randomized workloads through both implementations and require equality,
@@ -24,18 +24,13 @@ from repro.perf.compiled import (
     compiled_backend,
     get_kernels,
 )
-from repro.perf.fastsim import (
-    _INTERPRETER_KERNELS,
-    _grouped_bucket_scan,
-    _scalar_bucket_scan,
-)
+from repro.perf.fastsim import NUMPY_KERNELS as NUMPY, _grouped_bucket_scan
+from tests.perf.scan_oracle import scalar_bucket_scan
 
 pytestmark = pytest.mark.skipif(
     compiled_backend() is None,
     reason="no compiled backend available",
 )
-
-NUMPY = _INTERPRETER_KERNELS["numpy"]
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +77,7 @@ class TestBucketScan:
         burst = float(np.ceil(rng.uniform(1.0, 8.0)))
         slots, times = _random_events(rng, m, n)
         expected = _grouped_bucket_scan(slots, times, capacity, burst)
-        got = _scalar_bucket_scan(slots, times, capacity, burst)
+        got = scalar_bucket_scan(slots, times, capacity, burst)
         for ours, theirs in zip(got, expected):
             np.testing.assert_array_equal(ours, theirs)
 
@@ -199,8 +194,9 @@ class TestWelford:
             exp_m2 += delta * (value - exp_mean)
             if value > exp_max:
                 exp_max = value
-        got = kernels.welford(values, count, mean, m2, maxv)
-        assert got == (exp_count, exp_mean, exp_m2, exp_max)
+        expected = (exp_count, exp_mean, exp_m2, exp_max)
+        assert kernels.welford(values, count, mean, m2, maxv) == expected
+        assert NUMPY.welford(values, count, mean, m2, maxv) == expected
 
 
 class TestDetect:

@@ -1,12 +1,15 @@
-"""Engine-level tier contracts: scalar / numpy / compiled equality.
+"""Engine-level tier contracts: numpy / compiled / scan-oracle equality.
 
-The tier knob (``PacketSimConfig.tier``, ``TrafficMonitor(tier=...)``)
-is documented as a pure speed selector: on the same seeds and the same
-(possibly churned) deployment, every tier must produce the *same
-report* — injection schedules, drop decisions, congested-node sets,
-latency statistics, detector flag sequences. These tests run the full
-engines at every available tier and require field-for-field equality,
-plus the graceful-degradation path when no compiled backend exists.
+The tier knob (``PacketSimConfig.tier``) is documented as a pure speed
+selector: on the same seeds and the same (possibly churned) deployment,
+every tier must produce the *same report* — injection schedules, drop
+decisions, congested-node sets, latency statistics. These tests run the
+full engine at every available tier, and once more with the per-event
+token-bucket scan oracle swapped into the numpy tier, and require
+field-for-field equality. The traffic monitor has no tier: its batched
+detector scan must equal the per-node scan whichever kernel the
+platform provides. The graceful-degradation path when no compiled
+backend exists is covered last.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import pytest
 
 from repro.core import SOSArchitecture
 from repro.detection.monitor import MonitorConfig, TrafficMonitor
-from repro.errors import DetectionError
 from repro.overlay.arrays import HEALTH_COMPROMISED, HEALTH_CRASHED
 from repro.perf import _cc, compiled
 from repro.perf.compiled import (
@@ -29,8 +31,14 @@ from repro.perf.compiled import (
     resolve_tier,
 )
 from repro.perf.fastsim import run_fast, run_packet_replicas
-from repro.simulation.packet_sim import PacketSimConfig, flood_layer
+from repro.scenarios.runner import run_scenario
+from repro.simulation.packet_sim import (
+    PacketLevelSimulation,
+    PacketSimConfig,
+    flood_layer,
+)
 from repro.sos.deployment import SOSDeployment
+from tests.perf.scan_oracle import engine_tier, engine_tiers
 
 
 def deployment(seed=11, nodes=400, sos_nodes=30):
@@ -66,15 +74,16 @@ def run_at(tier, seed, *, targets=False, clients=40, dep_seed=11,
     flood = (
         flood_layer(dep, layer=1, fraction=0.5, rng=3) if targets else None
     )
-    config = PacketSimConfig(
-        duration=20.0,
-        warmup=5.0,
-        clients=clients,
-        client_rate=0.8,
-        flood_rate=120.0,
-        tier=tier,
-    )
-    return run_fast(dep, config, rng=seed, flood_targets=flood)
+    with engine_tier(tier) as config_tier:
+        config = PacketSimConfig(
+            duration=20.0,
+            warmup=5.0,
+            clients=clients,
+            client_rate=0.8,
+            flood_rate=120.0,
+            tier=config_tier,
+        )
+        return run_fast(dep, config, rng=seed, flood_targets=flood)
 
 
 class TestPacketEngineTierEquality:
@@ -82,7 +91,7 @@ class TestPacketEngineTierEquality:
     def test_no_drop_runs_identical(self, seed):
         reports = [
             dataclasses.asdict(run_at(tier, seed))
-            for tier in available_tiers()
+            for tier in engine_tiers()
         ]
         for other in reports[1:]:
             assert other == reports[0]
@@ -93,7 +102,7 @@ class TestPacketEngineTierEquality:
             tier: dataclasses.asdict(
                 run_at(tier, seed, targets=True, churn_seed=seed + 50)
             )
-            for tier in available_tiers()
+            for tier in engine_tiers()
         }
         baseline = reports.pop("numpy")
         assert baseline["sent"] > 0
@@ -105,7 +114,7 @@ class TestPacketEngineTierEquality:
             dataclasses.asdict(
                 run_at(tier, 0, targets=True, clients=0)
             )
-            for tier in available_tiers()
+            for tier in engine_tiers()
         ]
         assert reports[0]["sent"] == 0
         for other in reports[1:]:
@@ -133,6 +142,47 @@ class TestPacketEngineTierEquality:
             results[tier] = [dataclasses.asdict(r) for r in reports]
         assert results["numpy"] == results["compiled"]
 
+    @pytest.mark.parametrize("keep_latencies", [False, True])
+    def test_benchmark_scale_flood_with_monitor_identical(
+        self, keep_latencies
+    ):
+        # The flood-detect benchmark's shape: 2000 overlay nodes, 1000
+        # clients, half of layer 1 flooded from t=10, a monitor attached.
+        arch = SOSArchitecture(
+            layers=3, mapping="one-to-half", total_overlay_nodes=2000,
+            sos_nodes=120, filters=8,
+        )
+        dep = SOSDeployment.deploy(arch, rng=41)
+        targets = flood_layer(dep, layer=1, fraction=0.5, rng=42)
+        outcomes = {}
+        for tier in available_tiers():
+            config = PacketSimConfig(
+                duration=50.0, warmup=5.0, clients=1000, client_rate=1.0,
+                flood_start=10.0, keep_latencies=keep_latencies, tier=tier,
+            )
+            monitor = TrafficMonitor(
+                MonitorConfig(bin_width=1.0, warmup_bins=5, baseline_bins=5)
+            )
+            simulation = PacketLevelSimulation(
+                dep, config, rng=43, monitor=monitor
+            )
+            report = simulation.run(flood_targets=targets, fast=True)
+            outcomes[tier] = (
+                dataclasses.asdict(report),
+                monitor.observations,
+                monitor.flagged_nodes(),
+            )
+        report, observations, flagged = outcomes.pop("numpy")
+        assert report["dropped_at_congested"] > 0
+        assert set(flagged) & set(targets), "no flooded node was flagged"
+        assert len(report["latencies"]) == (
+            report["latency_count"] if keep_latencies else 0
+        )
+        for tier, other in outcomes.items():
+            assert other == (report, observations, flagged), (
+                f"tier {tier!r} diverged"
+            )
+
 
 def _monitor_stream(seed, nodes=40, offers=4000, horizon=40.0):
     rng = np.random.default_rng(seed)
@@ -151,7 +201,13 @@ def _monitor_stream(seed, nodes=40, offers=4000, horizon=40.0):
     return node_ids, times, accepted
 
 
+def _per_node_bins(monitor):
+    return {node: monitor.detection_bin(node) for node in monitor.nodes()}
+
+
 class TestMonitorTierEquality:
+    """The batched detector scan equals the per-node reference scan."""
+
     @pytest.mark.parametrize("method", ["cusum", "ewma"])
     @pytest.mark.parametrize("seed", range(4))
     def test_flag_sequences_identical(self, method, seed):
@@ -161,34 +217,25 @@ class TestMonitorTierEquality:
             bin_width=0.5, warmup_bins=2, baseline_bins=6, method=method,
             threshold=8.0 if method == "cusum" else 2.0,
         )
-        stream = _monitor_stream(seed)
-        outcomes = {}
-        for tier in available_tiers():
-            monitor = TrafficMonitor(config, tier=tier)
-            monitor.observe_batch(*stream)
-            outcomes[tier] = (
-                monitor.detection_bins(),
-                monitor.flagged_nodes(),
-            )
-        baseline_bins, baseline_flagged = outcomes.pop("scalar")
+        monitor = TrafficMonitor(config)
+        monitor.observe_batch(*_monitor_stream(seed))
+        expected = _per_node_bins(monitor)
         assert any(
-            value is not None for value in baseline_bins.values()
+            value is not None for value in expected.values()
         ), "workload produced no detections — test is vacuous"
-        for tier, (bins, flagged) in outcomes.items():
-            assert bins == baseline_bins, f"tier {tier!r} diverged"
-            assert flagged == baseline_flagged
+        assert monitor.detection_bins() == expected
+        assert monitor.flagged_nodes() == [
+            node for node, bin_index in expected.items()
+            if bin_index is not None
+        ]
 
     def test_batched_agrees_with_per_node_scan(self):
         config = MonitorConfig(bin_width=0.5, warmup_bins=2, baseline_bins=6)
-        monitor = TrafficMonitor(config, tier="numpy")
+        monitor = TrafficMonitor(config)
         monitor.observe_batch(*_monitor_stream(99))
         batched = monitor.detection_bins()
         for node_id, bin_index in batched.items():
             assert monitor.detection_bin(node_id) == bin_index
-
-    def test_invalid_tier_rejected(self):
-        with pytest.raises(DetectionError):
-            TrafficMonitor(MonitorConfig(), tier="turbo")
 
 
 class TestDegradation:
@@ -207,7 +254,7 @@ class TestDegradation:
 
     def test_warns_once_and_degrades(self, no_backend):
         assert compiled_backend() is None
-        assert available_tiers() == ("scalar", "numpy")
+        assert available_tiers() == ("numpy",)
         build_error = _cc.build_error()
         assert build_error
         with pytest.warns(CompiledTierUnavailableWarning) as record:
@@ -223,3 +270,20 @@ class TestDegradation:
             degraded = run_at("compiled", 2, targets=True)
         expected = run_at("numpy", 2, targets=True)
         assert dataclasses.asdict(degraded) == dataclasses.asdict(expected)
+
+    def test_monitor_scans_in_numpy_silently(self, no_backend):
+        assert compiled_backend() is None
+        config = MonitorConfig(bin_width=0.5, warmup_bins=2, baseline_bins=6)
+        monitor = TrafficMonitor(config)
+        monitor.observe_batch(*_monitor_stream(7))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batched = monitor.detection_bins()
+        assert batched == _per_node_bins(monitor)
+        assert any(value is not None for value in batched.values())
+
+    def test_scenario_report_names_the_tier_that_ran(self, no_backend):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CompiledTierUnavailableWarning)
+            report = run_scenario("pulsing-shrew", phases=1, tier="compiled")
+        assert report.tier == "numpy"

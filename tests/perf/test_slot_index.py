@@ -10,6 +10,7 @@ from repro.errors import SimulationError
 from repro.perf.fastsim import SlotIndex, encode_deployment, run_fast
 from repro.simulation.packet_sim import PacketSimConfig, flood_layer
 from repro.sos.deployment import SOSDeployment
+from tests.perf.scan_oracle import SCAN_ORACLE, engine_tier
 
 
 class TestSlotIndex:
@@ -87,16 +88,18 @@ class TestZeroClientArraysRun:
         )
         return SOSDeployment.deploy(arch, rng=5)
 
-    @pytest.mark.parametrize("tier", ["scalar", "numpy", "compiled"])
+    @pytest.mark.parametrize("tier", [SCAN_ORACLE, "numpy", "compiled"])
     def test_zero_clients_no_contacts(self, tier):
         dep = self._deployment()
         arrays = encode_deployment(dep)
-        config = PacketSimConfig(
-            duration=10.0, warmup=2.0, clients=0, client_rate=1.0, tier=tier
-        )
-        report = run_fast(
-            None, config, rng=9, client_contacts=[], arrays=arrays
-        )
+        with engine_tier(tier) as config_tier:
+            config = PacketSimConfig(
+                duration=10.0, warmup=2.0, clients=0, client_rate=1.0,
+                tier=config_tier,
+            )
+            report = run_fast(
+                None, config, rng=9, client_contacts=[], arrays=arrays
+            )
         assert report.sent == 0
         assert report.delivered == 0
         assert report.latency_count == 0

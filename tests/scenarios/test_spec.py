@@ -122,6 +122,7 @@ def test_vector_layer_out_of_architecture_rejected():
         {"seed": -1},
         {"engine": "warp"},
         {"tier": "gpu"},
+        {"tier": "scalar"},
     ],
 )
 def test_spec_field_validation(kwargs):
@@ -158,7 +159,8 @@ def test_sim_spec_validates_eagerly():
 def test_sim_config_tier_override_does_not_mutate_spec():
     spec = tiny_spec()
     assert spec.sim_config().tier == spec.tier
-    assert spec.sim_config(tier="scalar").tier == "scalar"
+    override = dataclasses.replace(spec, tier="compiled")
+    assert override.sim_config().tier == "compiled"
     assert spec.tier == "numpy"
 
 

@@ -46,6 +46,7 @@ class TestValidation:
             ({"seed": -1}, "seed"),
             ({"seed": True}, "seed"),
             ({"unknown_knob": 1}, "unknown"),
+            ({"tier": "scalar"}, "tier"),
         ],
     )
     def test_bad_knobs_rejected(self, overrides, match):

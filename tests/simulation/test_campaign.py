@@ -84,6 +84,16 @@ class TestTimeline:
             no_repair_report.p_s[-1]
         )
 
+    def test_p_s_moments_match_the_trajectory(self, no_repair_report):
+        p_s = no_repair_report.p_s
+        mean = sum(p_s) / len(p_s)
+        assert no_repair_report.p_s_mean == pytest.approx(mean)
+        variance = sum((p - no_repair_report.p_s_mean) ** 2 for p in p_s) / len(
+            p_s
+        )
+        assert no_repair_report.p_s_variance == pytest.approx(variance)
+        assert no_repair_report.p_s_variance > 0.0  # the attack visibly moves p_s
+
     def test_deterministic_under_seed(self):
         a = run_campaign(arch(), ATTACK, NO_REPAIR, seed=4)
         b = run_campaign(arch(), ATTACK, NO_REPAIR, seed=4)
