@@ -86,8 +86,8 @@ bench-ladder:
 bench-compare:
 	$(PYTHON) tools/bench_compare.py
 
-# Large-N smoke over the array core: 10^5-node flooded fastsim plus 10^4
-# batched Chord lookups under one wall budget, timings + peak RSS in
+# Large-N smoke over the array core: 10^5-node deploy, encode and
+# flooded fastsim under one wall budget, timings + peak RSS in
 # scale-smoke.json. `--nodes 1000000` exercises the million-node path.
 scale-smoke:
 	PYTHONPATH=src $(PYTHON) tools/scale_smoke.py --output scale-smoke.json

@@ -1,12 +1,11 @@
 """Struct-of-arrays scale path: the ISSUE 8 criteria.
 
-Three measurements on a 10^5-node overlay (3 layers, one-to-half, 3000
+Two measurements on a 10^5-node overlay (3 layers, one-to-half, 3000
 SOS nodes): the column-borrowing ``encode_deployment`` vs the original
 object-walking encoder it replaced (the speedup criterion — the array
 path is a vectorized gather plus an epoch-keyed structure cache, the
-object path resolves every node view), one flooded fast-engine run over
-the encoding, and a 10k-key batched Chord lookup through the
-deployment's own ring. Peak RSS rides along in ``extra_info`` via the
+object path resolves every node view), and one flooded fast-engine run
+over the encoding. Peak RSS rides along in ``extra_info`` via the
 benchmark conftest, so the BENCH_<n>.json trajectory records that the
 million-node representation stays columnar (no object blow-up).
 """
@@ -42,7 +41,6 @@ CONFIG = PacketSimConfig(
     flood_rate=200.0,
 )
 SEED = 20040326
-LOOKUPS = 10_000
 
 
 def _deployment():
@@ -73,8 +71,8 @@ def test_encode_100k_objects(benchmark):
 
 
 def _encode_sweep(deployment, encoder, rounds=8):
-    """Re-encode between health mutations, as replica sweeps and the
-    detect→repair loop do. Health writes leave the wiring epoch alone,
+    """Re-encode between health mutations, as the detect→repair loop
+    does. Health writes leave the wiring epoch alone,
     so the array path re-gathers only ``is_bad`` after round one; the
     object path rebuilds everything every time."""
     members = deployment.sos_member_ids()
@@ -131,16 +129,3 @@ def test_flooded_fastsim_100k(benchmark):
     )
     assert report.sent > 0
     assert 0.0 < report.delivery_ratio < 1.0
-
-
-def test_chord_10k_batch_100k_ring(benchmark):
-    deployment = _deployment()
-    ring = deployment.chord
-    rng = np.random.default_rng(SEED)
-    live = np.asarray(ring.live_node_ids, dtype=np.int64)
-    keys = [int(k) for k in rng.integers(0, ring.space.size, size=LOOKUPS)]
-    starts = [int(s) for s in live[rng.integers(0, len(live), size=LOOKUPS)]]
-    batch = benchmark.pedantic(
-        ring.lookup_batch, args=(keys, starts), rounds=1, iterations=1
-    )
-    assert bool(batch.succeeded.all())

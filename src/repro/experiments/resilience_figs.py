@@ -17,9 +17,10 @@ accumulate unrepaired.
 
 ``res-flood`` drops to the packet level: it sweeps the fraction of the
 first SOS layer under flooding attack and measures the delivered
-fraction of legitimate traffic across independent deployments, using
-the vectorized fast engine (:mod:`repro.perf.fastsim`) by default with
-the event-driven simulator available as the oracle via ``fast=False``.
+fraction of legitimate traffic across independent deployments, run one
+after another in-process, using the vectorized fast engine
+(:mod:`repro.perf.fastsim`) by default with the event-driven simulator
+available as the oracle via ``fast=False``.
 """
 
 from __future__ import annotations
@@ -200,7 +201,6 @@ def resilience_flooding(
     trials: int = 6,
     seed: int = 47,
     fast: bool = True,
-    workers: int = 1,
 ) -> FigureResult:
     """Packet-level delivery ratio vs flooded fraction of the first layer.
 
@@ -226,7 +226,6 @@ def resilience_flooding(
             flood_layer_index=1 if fraction > 0 else None,
             flood_fraction=fraction if fraction > 0 else 1.0,
             seed=seed,
-            workers=workers,
             fast=fast,
         )
         delivery.append(mean_delivery_ratio(reports))

@@ -12,9 +12,8 @@ finger, ``(n, W)`` successor, predecessor, and liveness columns per ring
 (wide rings, ``bits > 62``, use object-dtype columns holding Python ints).
 :class:`ChordNode` objects are cached views whose list-valued properties
 materialize lazily from the columns, so the scalar protocol code reads
-unchanged while :meth:`ChordRing.rebuild_routing_state` and
-:meth:`ChordRing.lookup_batch` write/read the columns directly with no
-per-node Python loops.
+unchanged while :meth:`ChordRing.rebuild_routing_state` writes the
+columns directly with no per-node Python loops.
 
 Supported operations:
 
@@ -31,7 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 from bisect import bisect_left, bisect_right, insort
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +42,7 @@ from repro.overlay.identifiers import DEFAULT_ID_BITS, IdentifierSpace
 DEFAULT_SUCCESSOR_LIST = 8
 
 #: Widest ring whose identifiers (and their pairwise differences) fit in
-#: int64; wider rings fall back to the scalar per-lookup path.
+#: int64; wider rings use object columns and the scalar rebuild.
 _VECTOR_BITS_LIMIT = 62
 
 
@@ -52,7 +51,7 @@ class _RoutingColumns:
 
     Rows are sorted by identifier and include dead nodes (live nodes'
     stale pointers may still reference them). ``epoch`` is bumped on
-    every mutation; views and the batch-lookup cache key on it.
+    every mutation; :class:`ChordNode` views key their caches on it.
     """
 
     __slots__ = (
@@ -270,28 +269,6 @@ class ChordNode:
 
 
 @dataclasses.dataclass(frozen=True)
-class BatchLookupResult:
-    """Outcome of a batched Chord lookup (one row per query).
-
-    ``owners[i]`` is -1 when query ``i`` failed; ``hops[i]`` counts
-    forwarding hops exactly as :attr:`LookupResult.hops` does.
-    """
-
-    owners: np.ndarray
-    hops: np.ndarray
-    succeeded: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.owners)
-
-    @property
-    def success_rate(self) -> float:
-        if len(self.owners) == 0:
-            return 0.0
-        return float(self.succeeded.mean())
-
-
-@dataclasses.dataclass(frozen=True)
 class LookupResult:
     """Outcome of an iterative Chord lookup."""
 
@@ -335,15 +312,6 @@ class ChordRing:
         #: Same membership as _alive_sorted; O(1) liveness tests keep the
         #: scalar lookup path as fast as the old per-node dict.
         self._alive_set: set = set()
-        self._batch_cache: Optional[Tuple[int, Dict[str, object]]] = None
-
-    @property
-    def _routing_epoch(self) -> int:
-        """Mutation counter keying the batch cache and view caches."""
-        return self._cols.epoch
-
-    def _invalidate_batch_cache(self) -> None:
-        self._cols.epoch += 1
 
     def _node_view(self, node_id: int) -> ChordNode:
         view = self._views.get(node_id)
@@ -405,7 +373,6 @@ class ChordRing:
         Rings wider than int64 fall back to the per-node scalar path,
         which also serves as the equivalence oracle in tests.
         """
-        self._invalidate_batch_cache()
         ring = self._alive_sorted
         n = len(ring)
         if n == 0:
@@ -441,49 +408,9 @@ class ChordRing:
             cols.succ_len[rows] = length
             cols.pred[rows] = predecessors
         cols.epoch += 1
-        if len(cols) == n:
-            # No dead entries linger, so rebuild's own arrays are exactly
-            # the encoding _batch_state would recompute: prime the cache.
-            self._prime_batch_cache(ids, finger_rows, finger_idx, succ_rows, succ_idx)
-
-    def _prime_batch_cache(
-        self,
-        ids: np.ndarray,
-        finger_rows: np.ndarray,
-        finger_idx: np.ndarray,
-        succ_rows: np.ndarray,
-        succ_idx: np.ndarray,
-    ) -> None:
-        """Assemble the batch-lookup cache from rebuild's index matrices."""
-        n, bits = finger_rows.shape
-        size = np.int64(self.space.size)
-        dist_f = (finger_rows - ids[:, None]) % size
-        dist_f = np.where(dist_f == 0, size, dist_f)
-        dist_s = (succ_rows - ids[:, None]) % size
-        dist_s = np.where(dist_s == 0, size, dist_s)
-        state: Dict[str, object] = {
-            "all_ids": ids,
-            "alive": np.ones(n, dtype=bool),
-            "finger_ids": finger_rows,
-            "finger_alive_of": np.ones((n, bits), dtype=bool),
-            "succ_ids": succ_rows,
-            "succ_alive_of": np.ones(succ_rows.shape, dtype=bool),
-            "n_live": n,
-            "clean": True,
-            "dist_f": dist_f,
-            "dist_f_rev": np.ascontiguousarray(dist_f[:, ::-1]),
-            "finger_pos": finger_idx,
-            "dist_s": dist_s,
-            "succ_pos": succ_idx,
-            "succ0_id": succ_rows[:, 0].copy(),
-            "succ0_pos": succ_idx[:, 0].copy(),
-            "dist0": (succ_rows[:, 0] - ids) % size,
-        }
-        self._batch_cache = (self._routing_epoch, state)
 
     def _rebuild_routing_state_scalar(self) -> None:
         """Per-node bisect path; oracle for the vectorized rebuild."""
-        self._invalidate_batch_cache()
         for node_id in self._alive_sorted:
             node = self._node_view(node_id)
             node.fingers = [
@@ -557,7 +484,6 @@ class ChordRing:
         row = self._cols.row_of(node_id)
         if row >= 0 and bool(self._cols.alive[row]):
             raise ConfigurationError(f"node {node_id} already in the ring")
-        self._invalidate_batch_cache()
         if row < 0:
             self._cols.insert(node_id)
         else:
@@ -587,7 +513,6 @@ class ChordRing:
         node = self.node(node_id)
         if not node.alive:
             return
-        self._invalidate_batch_cache()
         node.alive = False
         index = bisect_left(self._alive_sorted, node_id)
         if index < len(self._alive_sorted) and self._alive_sorted[index] == node_id:
@@ -601,7 +526,6 @@ class ChordRing:
         node = self.node(node_id)
         if not node.alive:
             return
-        self._invalidate_batch_cache()
         predecessor_id = self._ideal_predecessor(node_id)
         successor_id = self._ideal_successor((node_id + 1) % self.space.size)
         self.fail(node_id)
@@ -620,7 +544,6 @@ class ChordRing:
         """Run ``rounds`` of stabilize/notify/fix_fingers on every live node."""
         if rounds < 1:
             raise ConfigurationError("rounds must be >= 1")
-        self._invalidate_batch_cache()
         for _ in range(rounds):
             for node_id in list(self._alive_sorted):
                 node = self._node_view(node_id)
@@ -746,374 +669,6 @@ class ChordRing:
     def lookup_key(self, key_string: str, start: int) -> LookupResult:
         """Hash ``key_string`` onto the ring and resolve its owner."""
         return self.lookup(self.space.hash_key(key_string), start)
-
-    def lookup_batch(
-        self,
-        keys: Sequence[int],
-        starts: Union[int, Sequence[int]],
-    ) -> BatchLookupResult:
-        """Resolve many lookups at once, hop-for-hop like :meth:`lookup`.
-
-        All queries advance together in hop-synchronous numpy batches:
-        per hop, one gather of every query's finger row and successor
-        row, vectorized modular-interval tests, and one mask update.
-        Per-query :meth:`lookup` is the oracle — owners, hop counts, and
-        success flags match it exactly (property-tested over random
-        rings with failures). ``starts`` may be a scalar (broadcast) or
-        one start per key. Rings wider than int64 fall back to looping
-        :meth:`lookup`.
-
-        Examples
-        --------
-        >>> ring = ChordRing.build([1, 18, 36, 99, 200], bits=8)
-        >>> batch = ring.lookup_batch([37, 210], starts=[1, 99])
-        >>> batch.owners.tolist()
-        [99, 1]
-        >>> batch.succeeded.tolist()
-        [True, True]
-        >>> int(batch.hops[0]) == ring.lookup(37, start=1).hops
-        True
-        """
-        if self.space.bits > _VECTOR_BITS_LIMIT:
-            return self._lookup_batch_scalar(keys, starts)
-        try:
-            key_arr = np.asarray(keys, dtype=np.int64).ravel()
-        except (OverflowError, TypeError, ValueError):
-            key_arr = np.asarray(
-                [self.space.validate(int(key)) for key in keys],
-                dtype=np.int64,
-            )
-        out_of_range = (key_arr < 0) | (key_arr >= self.space.size)
-        if bool(out_of_range.any()):
-            self.space.validate(int(key_arr[int(np.argmax(out_of_range))]))
-        queries = len(key_arr)
-        if isinstance(starts, (int, np.integer)):
-            start_arr = np.full(queries, int(starts), dtype=np.int64)
-        else:
-            start_arr = np.asarray(starts, dtype=np.int64).ravel()
-        if len(start_arr) != queries:
-            raise ConfigurationError(
-                f"got {queries} keys but {len(start_arr)} starts"
-            )
-        if queries == 0:
-            return BatchLookupResult(
-                owners=np.empty(0, dtype=np.int64),
-                hops=np.empty(0, dtype=np.int64),
-                succeeded=np.empty(0, dtype=bool),
-            )
-        state = self._batch_state()
-        all_ids: np.ndarray = state["all_ids"]
-        start_pos = np.searchsorted(all_ids, start_arr)
-        clipped = np.minimum(start_pos, len(all_ids) - 1)
-        live_start = (all_ids[clipped] == start_arr) & state["alive"][clipped]
-        if not bool(live_start.all()):
-            bad = int(start_arr[int(np.argmax(~live_start))])
-            raise RoutingError(f"lookup must start at a live node, got {bad}")
-        if state["clean"]:
-            return self._lookup_batch_clean(key_arr, start_pos, state)
-        return self._lookup_batch_general(key_arr, start_pos, state)
-
-    def _lookup_batch_scalar(
-        self,
-        keys: Sequence[int],
-        starts: Union[int, Sequence[int]],
-    ) -> BatchLookupResult:
-        """Loop :meth:`lookup` per key (rings wider than int64)."""
-        keys_list = [self.space.validate(int(key)) for key in keys]
-        if isinstance(starts, (int, np.integer)):
-            starts_list = [int(starts)] * len(keys_list)
-        else:
-            starts_list = [int(start) for start in starts]
-        if len(starts_list) != len(keys_list):
-            raise ConfigurationError(
-                f"got {len(keys_list)} keys but {len(starts_list)} starts"
-            )
-        for start in starts_list:
-            if start not in self:
-                raise RoutingError(
-                    f"lookup must start at a live node, got {start}"
-                )
-        results = [
-            self.lookup(key, start)
-            for key, start in zip(keys_list, starts_list)
-        ]
-        return BatchLookupResult(
-            # Identifiers here exceed int64 by definition (this path only
-            # runs for rings wider than the vector limit), so owners stay
-            # Python ints in an object array.
-            owners=np.asarray(
-                [r.owner if r.owner is not None else -1 for r in results],
-                dtype=object,
-            ),
-            hops=np.asarray([r.hops for r in results], dtype=np.int64),
-            succeeded=np.asarray([r.succeeded for r in results], dtype=bool),
-        )
-
-    def _batch_state(self) -> Dict[str, object]:
-        """Encode the routing columns into the batch arrays, cached per epoch.
-
-        Dead nodes are included — live nodes' stale pointers may still
-        reference them. Every routing-state mutation (join/fail/leave/
-        stabilize/rebuild, and any view-property write) bumps the column
-        epoch, invalidating the cache, so repeated batches on an
-        unchanged ring skip this setup. Since the columns *are* the
-        routing state, assembly is pure array ops — no per-node loops.
-        """
-        cached = self._batch_cache
-        if cached is not None and cached[0] == self._routing_epoch:
-            return cached[1]
-        cols = self._cols
-        size = np.int64(self.space.size)
-        all_ids = cols.ids
-        alive = cols.alive
-        n_all = len(all_ids)
-        if bool(cols.fingers_set.all()):
-            finger_ids = cols.fingers
-        else:
-            finger_ids = np.where(
-                cols.fingers_set[:, None], cols.fingers, all_ids[:, None]
-            )
-        finger_pos = np.searchsorted(all_ids, finger_ids)
-        max_list = max(int(cols.succ_len.max(initial=0)), 1)
-        succ_ids = cols.succ[:, :max_list]
-        if succ_ids.shape[1] == 0:
-            succ_ids = np.full((n_all, 1), -1, dtype=np.int64)
-        succ_valid = succ_ids >= 0
-        succ_pos = np.searchsorted(
-            all_ids, np.where(succ_valid, succ_ids, all_ids[0])
-        )
-        state: Dict[str, object] = {
-            "all_ids": all_ids,
-            "alive": alive,
-            "finger_ids": finger_ids,
-            "finger_alive_of": alive[finger_pos],
-            "succ_ids": succ_ids,
-            "succ_alive_of": succ_valid & alive[succ_pos],
-            "n_live": len(self._alive_sorted),
-            "clean": bool(alive.all()) and bool(succ_valid[:, 0].all()),
-        }
-        if state["clean"]:
-            # Pristine-ring extras: with everyone alive, interval tests
-            # reduce to compares on precomputed clockwise distances.
-            # Self-pointers get distance ``size`` so the ``d > 0`` leg of
-            # ``in_open_interval`` stays implicit in a single compare.
-            dist_f = (finger_ids - all_ids[:, None]) % size
-            dist_f = np.where(dist_f == 0, size, dist_f)
-            state["dist_f"] = dist_f
-            # Contiguous reversed copy: the per-hop highest-finger argmax
-            # scans left-to-right instead of through a strided view.
-            state["dist_f_rev"] = np.ascontiguousarray(dist_f[:, ::-1])
-            state["finger_pos"] = finger_pos
-            dist_s = (succ_ids - all_ids[:, None]) % size
-            state["dist_s"] = np.where(succ_valid & (dist_s != 0), dist_s, size)
-            state["succ_pos"] = succ_pos
-            state["succ0_id"] = succ_ids[:, 0].copy()
-            state["succ0_pos"] = succ_pos[:, 0].copy()
-            state["dist0"] = (succ_ids[:, 0] - all_ids) % size
-        self._batch_cache = (self._routing_epoch, state)
-        return state
-
-    def _lookup_batch_clean(
-        self,
-        key_arr: np.ndarray,
-        start_pos: np.ndarray,
-        state: Dict[str, object],
-    ) -> BatchLookupResult:
-        """Hop loop specialized for rings with no dead nodes.
-
-        With every node alive, ``_first_live_successor`` is always the
-        first successor-list entry and the closest-preceding scan needs
-        no liveness masks, so each hop costs a few row gathers plus one
-        compare over precomputed finger distances. Exact against
-        :meth:`lookup` (property-tested alongside the general path).
-        """
-        size = np.int64(self.space.size)
-        all_ids: np.ndarray = state["all_ids"]
-        queries = len(key_arr)
-        if state["n_live"] == 1:
-            # The sole node answers every key without forwarding.
-            return BatchLookupResult(
-                owners=all_ids[start_pos].copy(),
-                hops=np.zeros(queries, dtype=np.int64),
-                succeeded=np.ones(queries, dtype=bool),
-            )
-        dist_f_rev: np.ndarray = state["dist_f_rev"]
-        finger_pos: np.ndarray = state["finger_pos"]
-        dist_s: np.ndarray = state["dist_s"]
-        succ_pos: np.ndarray = state["succ_pos"]
-        succ0_id: np.ndarray = state["succ0_id"]
-        succ0_pos: np.ndarray = state["succ0_pos"]
-        dist0: np.ndarray = state["dist0"]
-        bits = self.space.bits
-
-        current = start_pos.copy()
-        owners = np.full(queries, -1, dtype=np.int64)
-        hops = np.zeros(queries, dtype=np.int64)
-        succeeded = np.zeros(queries, dtype=bool)
-        active_idx = np.arange(queries)
-        max_hops = 2 * bits + int(state["n_live"])
-
-        for _ in range(max_hops):
-            if len(active_idx) == 0:
-                break
-            cur = current[active_idx]
-            d_key = (key_arr[active_idx] - all_ids[cur]) % size
-            d_succ = dist0[cur]
-            # key in (current, successor]; successor == current only on
-            # degenerate rings, where the interval is the whole ring.
-            owned = (d_succ == 0) | ((d_key > 0) & (d_key <= d_succ))
-            done = active_idx[owned]
-            owners[done] = succ0_id[cur[owned]]
-            hops[done] += 1
-            succeeded[done] = True
-            forward = ~owned
-            active_idx = active_idx[forward]
-            if len(active_idx) == 0:
-                continue
-            cur = cur[forward]
-            d_key = d_key[forward]
-            # in_open_interval(f, current, key): 0 < d(cur,f) < d(cur,key),
-            # widening to the full ring when key == current.
-            thresh = np.where(d_key > 0, d_key, size)
-            rev_mask = dist_f_rev[cur] < thresh[:, None]
-            # Highest qualifying finger, like the reversed scalar scan;
-            # gathering the argmax column back doubles as the any-test.
-            rev_col = np.argmax(rev_mask, axis=1)
-            rows = np.arange(len(cur))
-            f_any = rev_mask[rows, rev_col]
-            f_col = (bits - 1) - rev_col
-            next_pos = np.where(f_any, finger_pos[cur, f_col], succ0_pos[cur])
-            miss = np.nonzero(~f_any)[0]
-            if len(miss):
-                # Scalar fallback order: first successor-list entry in
-                # the interval, else the live successor itself.
-                s_mask = dist_s[cur[miss]] < thresh[miss, None]
-                s_any = s_mask.any(axis=1)
-                s_col = np.argmax(s_mask, axis=1)
-                next_pos[miss] = np.where(
-                    s_any, succ_pos[cur[miss], s_col], next_pos[miss]
-                )
-            # next == current cannot happen here: the successor fallback
-            # differs from current whenever the ownership test failed.
-            hops[active_idx] += 1
-            current[active_idx] = next_pos
-        return BatchLookupResult(owners=owners, hops=hops, succeeded=succeeded)
-
-    def _lookup_batch_general(
-        self,
-        key_arr: np.ndarray,
-        start_pos: np.ndarray,
-        state: Dict[str, object],
-    ) -> BatchLookupResult:
-        """Hop loop handling dead nodes and arbitrary stale pointers."""
-        size = np.int64(self.space.size)
-
-        def in_open(value, lo, hi):
-            d_value = (value - lo) % size
-            return (d_value > 0) & (
-                (d_value < (hi - lo) % size) | (lo == hi)
-            )
-
-        def in_half_open(value, lo, hi):
-            d_value = (value - lo) % size
-            return (lo == hi) | ((d_value > 0) & (d_value <= (hi - lo) % size))
-
-        all_ids: np.ndarray = state["all_ids"]
-        finger_ids: np.ndarray = state["finger_ids"]
-        finger_alive_of: np.ndarray = state["finger_alive_of"]
-        succ_ids: np.ndarray = state["succ_ids"]
-        succ_alive_of: np.ndarray = state["succ_alive_of"]
-        bits = self.space.bits
-
-        queries = len(key_arr)
-        current = start_pos.copy()
-        owners = np.full(queries, -1, dtype=np.int64)
-        hops = np.zeros(queries, dtype=np.int64)
-        succeeded = np.zeros(queries, dtype=bool)
-        active = np.ones(queries, dtype=bool)
-        single_node_ring = int(state["n_live"]) == 1
-        max_hops = 2 * bits + int(state["n_live"])
-
-        for _ in range(max_hops):
-            if not bool(active.any()):
-                break
-            q = np.nonzero(active)[0]
-            cur = current[q]
-            cur_id = all_ids[cur]
-            key_q = key_arr[q]
-
-            # _first_live_successor: successor list first, then fingers,
-            # then self.
-            s_alive = succ_alive_of[cur]
-            s_found = s_alive.any(axis=1)
-            s_pick = succ_ids[cur, np.argmax(s_alive, axis=1)]
-            f_alive = finger_alive_of[cur]
-            f_found = f_alive.any(axis=1)
-            f_pick = finger_ids[cur, np.argmax(f_alive, axis=1)]
-            successor_id = np.where(
-                s_found, s_pick, np.where(f_found, f_pick, cur_id)
-            )
-
-            # Single-node ring: the sole node answers for every key.
-            if single_node_ring:
-                trivial = successor_id == cur_id
-                done = q[trivial]
-                owners[done] = cur_id[trivial]
-                succeeded[done] = True
-                active[done] = False
-                if bool(trivial.all()):
-                    continue
-                keep = ~trivial
-                q = q[keep]
-                cur = cur[keep]
-                cur_id = cur_id[keep]
-                key_q = key_q[keep]
-                successor_id = successor_id[keep]
-                s_alive = s_alive[keep]
-                f_alive = f_alive[keep]
-
-            # Ownership test: key in (current, successor].
-            owned = in_half_open(key_q, cur_id, successor_id)
-            done = q[owned]
-            owners[done] = successor_id[owned]
-            hops[done] += 1
-            succeeded[done] = True
-            active[done] = False
-            keep = ~owned
-            if not bool(keep.any()):
-                continue
-            q = q[keep]
-            cur = cur[keep]
-            cur_id = cur_id[keep]
-            key_q = key_q[keep]
-            successor_id = successor_id[keep]
-            s_alive = s_alive[keep]
-            f_alive = f_alive[keep]
-
-            # _closest_preceding_node: highest finger in (current, key),
-            # then first successor-list entry in (current, key), else
-            # fall through to the live successor.
-            f_ids = finger_ids[cur]
-            f_mask = f_alive & in_open(f_ids, cur_id[:, None], key_q[:, None])
-            f_any = f_mask.any(axis=1)
-            f_col = (bits - 1) - np.argmax(f_mask[:, ::-1], axis=1)
-            f_next = f_ids[np.arange(len(cur)), f_col]
-            s_ids = succ_ids[cur]
-            s_mask = s_alive & in_open(s_ids, cur_id[:, None], key_q[:, None])
-            s_any = s_mask.any(axis=1)
-            s_next = s_ids[np.arange(len(cur)), np.argmax(s_mask, axis=1)]
-            next_id = np.where(f_any, f_next, np.where(s_any, s_next, cur_id))
-            next_id = np.where(next_id == cur_id, successor_id, next_id)
-
-            stuck = next_id == cur_id
-            active[q[stuck]] = False  # failed: owners stay -1
-            advance = ~stuck
-            moved = q[advance]
-            hops[moved] += 1
-            current[moved] = np.searchsorted(all_ids, next_id[advance])
-
-        # Queries still active after max_hops failed, like the scalar path.
-        return BatchLookupResult(owners=owners, hops=hops, succeeded=succeeded)
 
     # ------------------------------------------------------------------
     # Key-value storage with successor-list replication

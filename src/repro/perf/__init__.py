@@ -6,7 +6,7 @@ model at once with numpy, mirroring the scalar kernels in
 scalar oracle to within 1e-12 (property-tested).
 :mod:`repro.perf.fastsim` is the vectorized fast path for the
 packet-level flooding simulation (hop-synchronous numpy batches with the
-event-driven engine as oracle) plus process-parallel replica sweeps.
+event-driven engine as oracle) plus in-process replica sweeps.
 The process-parallel Monte Carlo dispatcher lives with its estimator in
 :mod:`repro.simulation.monte_carlo` (``MonteCarloConfig.workers``);
 ``docs/PERFORMANCE.md`` documents both together with the ``BENCH_*.json``

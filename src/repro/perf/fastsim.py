@@ -37,10 +37,9 @@ and latency agree within confidence bounds
 (``tests/perf/test_fastsim_equivalence.py``). The event-driven engine
 remains the oracle.
 
-``run_packet_replicas`` scales multi-replica sweeps across cores with
-the PR-3 worker pattern: per-replica ``SeedSequence`` streams are
-pre-spawned in the parent in replica order, so aggregates are
-bit-identical for any worker count.
+``run_packet_replicas`` runs multi-replica sweeps in-process, one
+replica after another, each on its own ``SeedSequence`` pre-spawned in
+replica order.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import math
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,12 +54,12 @@ import numpy.typing as npt
 
 from repro.core.architecture import SOSArchitecture
 from repro.errors import SimulationError
-from repro.overlay.arrays import attach_columns, share_columns
 from repro.perf.compiled import CongestionTable, get_kernels, resolve_tier
 from repro.simulation.packet_sim import (
     PacketLevelSimulation,
     PacketSimConfig,
     PacketSimReport,
+    check_run_inputs,
     flood_layer,
 )
 from repro.sos.deployment import SOSDeployment
@@ -206,8 +204,8 @@ def _encode_structure(deployment: SOSDeployment) -> Dict[str, Any]:
 
     Everything here is a pure function of layer membership and neighbor
     wiring, both of which bump their store's ``wiring_epoch`` on every
-    mutation — so across the repeated encodes of a replica sweep or a
-    detect→repair loop this is a dict probe, not a rebuild.
+    mutation — so across the repeated encodes of a detect→repair loop
+    this is a dict probe, not a rebuild.
     """
     net_store = deployment.network.store
     filter_store = deployment.filters.store
@@ -613,7 +611,7 @@ NUMPY_KERNELS = _NumpyKernels()
 
 
 def run_fast(
-    deployment: Optional[SOSDeployment],
+    deployment: SOSDeployment,
     config: PacketSimConfig,
     rng: Any = None,
     flood_targets: Optional[Sequence[int]] = None,
@@ -622,7 +620,6 @@ def run_fast(
     monitor: Optional[Any] = None,
     marking: Optional[Any] = None,
     mark_master: Optional[np.random.Generator] = None,
-    arrays: Optional[DeploymentArrays] = None,
     schedule: Optional[Any] = None,
 ) -> PacketSimReport:
     """Run the vectorized packet engine; returns a :class:`PacketSimReport`.
@@ -650,12 +647,6 @@ def run_fast(
     fast run is bit-identical to one from before the detection
     subsystem existed.
 
-    ``arrays`` supplies a pre-encoded :class:`DeploymentArrays`
-    (shared-memory replica workers run without any deployment object at
-    all); when given, ``deployment`` is only consulted to sample client
-    contacts, so ``deployment=None`` is legal as long as
-    ``client_contacts`` is supplied.
-
     ``config.tier`` selects the kernel implementation for the token
     bucket replay, congestion lookups, routing picks, and the latency
     fold: ``numpy`` (default) or ``compiled``
@@ -675,12 +666,9 @@ def run_fast(
     schedule matches the event engine bit for bit.
     """
     generator = make_rng(rng)
-    if arrays is None:
-        if deployment is None:
-            raise SimulationError(
-                "run_fast needs a deployment or pre-encoded arrays"
-            )
-        arrays = encode_deployment(deployment)
+    arrays = encode_deployment(deployment)
+    targets = sorted(flood_targets or ())
+    check_run_inputs(arrays.slot_of, targets, schedule, marking)
     layers = arrays.layers
     capacity = config.node_capacity
     burst = 2.0 * config.node_capacity
@@ -689,11 +677,6 @@ def run_fast(
     report = PacketSimReport()
 
     if client_contacts is None:
-        if deployment is None:
-            raise SimulationError(
-                "client_contacts must be supplied when running from "
-                "arrays alone"
-            )
         client_contacts = [
             deployment.sample_client_contacts(generator)
             for _ in range(config.clients)
@@ -715,19 +698,6 @@ def run_fast(
     sched_attack: Dict[int, np.ndarray] = {}
     surge_sources: Tuple[Any, ...] = ()
     if schedule is not None:
-        if marking is not None:
-            from repro.errors import DetectionError
-
-            raise DetectionError(
-                "packet marking does not support scheduled scenario "
-                "vectors; run marking against a classic flood instead"
-            )
-        for node in schedule.attack_targets:
-            if node not in arrays.slot_of:
-                raise SimulationError(
-                    f"scheduled attack target {node} is not an SOS node "
-                    "or filter"
-                )
         # Clip to this config's horizon with the same mask the event
         # engine applies, so shorter replays of a longer schedule agree.
         for node in schedule.attack_targets:
@@ -752,12 +722,6 @@ def run_fast(
         # arithmetic below stays shape-correct on empty inputs.
         contact_matrix = np.zeros((0, 1), dtype=np.int64)
 
-    targets = sorted(flood_targets or ())
-    for target in targets:
-        if target not in arrays.slot_of:
-            raise SimulationError(
-                f"flood target {target} is not an SOS node or filter"
-            )
     target_slots = [arrays.slot_of[t] for t in targets]
 
     # --- pre-sample every Poisson source -----------------------------
@@ -777,14 +741,6 @@ def run_fast(
     ]
     report.attack_packets_absorbed = int(sum(len(row) for row in flood_rows))
     if marking is not None and targets:
-        uncovered = set(targets) - set(marking.graph.victims())
-        if uncovered:
-            from repro.errors import DetectionError
-
-            raise DetectionError(
-                "marking attack graph does not cover flood targets "
-                f"{sorted(uncovered)}"
-            )
         if mark_master is None:
             raise SimulationError(
                 "marking requires a mark_master stream when streams are "
@@ -1017,25 +973,8 @@ def run_fast(
 
 
 # ----------------------------------------------------------------------
-# Process-parallel replicas (PR-3 worker pattern)
+# Replica sweeps
 # ----------------------------------------------------------------------
-
-#: Per-worker-process state installed by :func:`_init_replica_worker`.
-_REPLICA_STATE: Dict[str, Any] = {}
-
-
-def _init_replica_worker(
-    architecture: SOSArchitecture,
-    config: PacketSimConfig,
-    layer: Optional[int],
-    fraction: float,
-    fast: bool,
-) -> None:
-    _REPLICA_STATE["architecture"] = architecture
-    _REPLICA_STATE["config"] = config
-    _REPLICA_STATE["layer"] = layer
-    _REPLICA_STATE["fraction"] = fraction
-    _REPLICA_STATE["fast"] = fast
 
 
 def _run_one_replica(
@@ -1057,182 +996,6 @@ def _run_one_replica(
     return simulation.run(flood_targets=targets, fast=fast)
 
 
-def _run_replica_chunk(
-    jobs: List[Tuple[int, np.random.SeedSequence]],
-) -> List[Tuple[int, PacketSimReport]]:
-    return [
-        (
-            index,
-            _run_one_replica(
-                _REPLICA_STATE["architecture"],
-                _REPLICA_STATE["config"],
-                _REPLICA_STATE["layer"],
-                _REPLICA_STATE["fraction"],
-                _REPLICA_STATE["fast"],
-                seed,
-            ),
-        )
-        for index, seed in jobs
-    ]
-
-
-# ----------------------------------------------------------------------
-# Shared-deployment replicas over multiprocessing.shared_memory
-# ----------------------------------------------------------------------
-
-
-def _arrays_to_columns(arrays: DeploymentArrays) -> Dict[str, np.ndarray]:
-    """Flatten :class:`DeploymentArrays` into the named-column form
-    :func:`repro.overlay.arrays.share_columns` ships to workers."""
-    sizes = np.asarray(
-        [len(arrays.members[layer]) for layer in range(1, arrays.layers + 2)],
-        dtype=np.int64,
-    )
-    named = {
-        "layer_sizes": sizes,
-        "node_ids": arrays.node_ids,
-        "layer_of": arrays.layer_of,
-        "local_of": arrays.local_of,
-        "is_bad": arrays.is_bad,
-    }
-    for layer in range(1, arrays.layers + 1):
-        named[f"neighbors_{layer}"] = arrays.neighbors[layer]
-    return named
-
-
-def _arrays_from_columns(named: Dict[str, np.ndarray]) -> DeploymentArrays:
-    """Rebuild :class:`DeploymentArrays` over attached column views.
-
-    Everything except the (worker-local) slot index and member ranges
-    stays a zero-copy view of the shared pages.
-    """
-    sizes = named["layer_sizes"]
-    layers = len(sizes) - 1
-    members: Dict[int, np.ndarray] = {}
-    start = 0
-    for layer, size in enumerate(sizes.tolist(), start=1):
-        members[layer] = np.arange(start, start + size, dtype=np.int64)
-        start += size
-    return DeploymentArrays(
-        layers=layers,
-        node_ids=named["node_ids"],
-        slot_of=SlotIndex(named["node_ids"]),
-        layer_of=named["layer_of"],
-        local_of=named["local_of"],
-        members=members,
-        neighbors={
-            layer: named[f"neighbors_{layer}"]
-            for layer in range(1, layers + 1)
-        },
-        is_bad=named["is_bad"],
-    )
-
-
-def _flood_layer_arrays(
-    arrays: DeploymentArrays,
-    layer: int,
-    fraction: float,
-    rng: np.random.Generator,
-) -> List[int]:
-    """:func:`~repro.simulation.packet_sim.flood_layer` over the encoded
-    arrays — same draw (one ``choice`` over the sorted members), no
-    deployment object needed."""
-    if not 0.0 < fraction <= 1.0:
-        raise SimulationError(f"fraction must be in (0, 1], got {fraction}")
-    member_slots = arrays.members.get(layer)
-    if member_slots is None:
-        raise SimulationError(
-            f"layer {layer} out of range 1..{arrays.layers + 1}"
-        )
-    members = arrays.node_ids[member_slots]
-    count = max(1, int(round(fraction * len(members))))
-    chosen = rng.choice(
-        len(members), size=min(count, len(members)), replace=False
-    )
-    return sorted(int(members[int(i)]) for i in chosen)
-
-
-def _client_contacts_arrays(
-    arrays: DeploymentArrays,
-    architecture: SOSArchitecture,
-    clients: int,
-    rng: np.random.Generator,
-) -> List[List[int]]:
-    """Per-client ``m_1`` access-point draws, one ``choice`` per client —
-    the array twin of :meth:`SOSDeployment.sample_client_contacts`."""
-    members = arrays.node_ids[arrays.members[1]]
-    degree = min(architecture.mapping_degree(1), len(members))
-    contacts: List[List[int]] = []
-    for _ in range(clients):
-        chosen = rng.choice(len(members), size=degree, replace=False)
-        contacts.append([int(members[int(i)]) for i in chosen])
-    return contacts
-
-
-def _run_one_shared_replica(
-    arrays: DeploymentArrays,
-    architecture: SOSArchitecture,
-    config: PacketSimConfig,
-    layer: Optional[int],
-    fraction: float,
-    seed: np.random.SeedSequence,
-) -> PacketSimReport:
-    """One replica over a shared (read-only) deployment encoding: the
-    flood-target, client-contact, and packet draws all come from the
-    replica's own pre-spawned stream; the deployment state is common."""
-    rng = make_rng(seed)
-    targets: List[int] = []
-    if layer is not None and fraction > 0.0:
-        targets = _flood_layer_arrays(arrays, layer, fraction, rng)
-    contacts = _client_contacts_arrays(
-        arrays, architecture, config.clients, rng
-    )
-    return run_fast(
-        None,
-        config,
-        rng=rng,
-        flood_targets=targets,
-        client_contacts=contacts,
-        arrays=arrays,
-    )
-
-
-def _init_shared_worker(
-    shm_name: str,
-    meta: Dict[str, Any],
-    architecture: SOSArchitecture,
-    config: PacketSimConfig,
-    layer: Optional[int],
-    fraction: float,
-) -> None:
-    named, shm = attach_columns(shm_name, meta)
-    _REPLICA_STATE["shared_arrays"] = _arrays_from_columns(named)
-    _REPLICA_STATE["shared_shm"] = shm  # keep the mapping alive
-    _REPLICA_STATE["architecture"] = architecture
-    _REPLICA_STATE["config"] = config
-    _REPLICA_STATE["layer"] = layer
-    _REPLICA_STATE["fraction"] = fraction
-
-
-def _run_shared_chunk(
-    jobs: List[Tuple[int, np.random.SeedSequence]],
-) -> List[Tuple[int, PacketSimReport]]:
-    return [
-        (
-            index,
-            _run_one_shared_replica(
-                _REPLICA_STATE["shared_arrays"],
-                _REPLICA_STATE["architecture"],
-                _REPLICA_STATE["config"],
-                _REPLICA_STATE["layer"],
-                _REPLICA_STATE["fraction"],
-                seed,
-            ),
-        )
-        for index, seed in jobs
-    ]
-
-
 def run_packet_replicas(
     architecture: SOSArchitecture,
     config: PacketSimConfig,
@@ -1240,134 +1003,25 @@ def run_packet_replicas(
     flood_layer_index: Optional[int] = None,
     flood_fraction: float = 1.0,
     seed: Optional[int] = None,
-    workers: int = 1,
-    chunk_size: Optional[int] = None,
     fast: bool = True,
-    deployment: Optional[SOSDeployment] = None,
 ) -> List[PacketSimReport]:
-    """Run independent packet-sim replicas, optionally across processes.
+    """Run independent packet-sim replicas one after another, in-process.
 
     Each replica deploys a fresh SOS instance, floods ``flood_fraction``
     of layer ``flood_layer_index`` (no flood when ``None``), and runs
-    the selected engine. Replica RNG streams are pre-spawned here in
-    replica order and reports are returned in replica order, so the
-    result is bit-identical for any ``workers`` value — the same
-    guarantee the parallel Monte Carlo estimator carries.
-
-    ``deployment`` switches to **shared-deployment** mode: every replica
-    runs over that one deployment's encoded arrays (health snapshot
-    included) and only the flood-target, client-contact, and packet
-    draws vary per replica. Across processes the encoding travels as
-    one ``multiprocessing.shared_memory`` segment — workers map the
-    parent's pages read-only, zero copies and no per-worker deployment
-    pickling — which is what makes million-node replica sweeps fit in
-    memory. Requires the fast engine; worker-count invariance holds
-    exactly as in fresh-deployment mode.
-
-    ``workers=0`` means "all cores"; ``workers=1`` runs in-process.
+    the selected engine. Replica RNG streams are pre-spawned here from
+    ``seed`` in replica order, so replica ``i`` depends only on
+    ``(seed, i)`` and reports come back in replica order.
     """
     if replicas < 1:
         raise SimulationError(f"replicas must be >= 1, got {replicas}")
-    if workers < 0:
-        raise SimulationError(
-            f"workers must be >= 0 (0 means all cores), got {workers}"
-        )
-    if chunk_size is not None and chunk_size < 1:
-        raise SimulationError(f"chunk_size must be >= 1, got {chunk_size}")
-    if deployment is not None and not fast:
-        raise SimulationError(
-            "shared-deployment replicas require the fast engine (fast=True)"
-        )
-    if deployment is not None and deployment.architecture != architecture:
-        raise SimulationError(
-            "deployment was built for a different architecture"
-        )
-    root = np.random.SeedSequence(seed)
-    seeds = root.spawn(replicas)
-    jobs = list(enumerate(seeds))
-    resolved = workers
-    if workers == 0:
-        import os
-
-        resolved = os.cpu_count() or 1
-    if deployment is not None:
-        arrays = encode_deployment(deployment)
-        if resolved <= 1:
-            results = [
-                (
-                    index,
-                    _run_one_shared_replica(
-                        arrays,
-                        architecture,
-                        config,
-                        flood_layer_index,
-                        flood_fraction,
-                        seed_seq,
-                    ),
-                )
-                for index, seed_seq in jobs
-            ]
-        else:
-            chunk = chunk_size or max(1, math.ceil(len(jobs) / (resolved * 4)))
-            parts = [jobs[i : i + chunk] for i in range(0, len(jobs), chunk)]
-            shared = share_columns(_arrays_to_columns(arrays))
-            results = []
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=min(resolved, len(parts)),
-                    initializer=_init_shared_worker,
-                    initargs=(
-                        shared.name,
-                        shared.meta,
-                        architecture,
-                        config,
-                        flood_layer_index,
-                        flood_fraction,
-                    ),
-                ) as pool:
-                    for part in pool.map(_run_shared_chunk, parts):
-                        results.extend(part)
-            finally:
-                shared.close()
-    elif resolved <= 1:
-        results = _run_replica_chunk_serial(
-            architecture, config, flood_layer_index, flood_fraction, fast, jobs
-        )
-    else:
-        chunk = chunk_size or max(1, math.ceil(len(jobs) / (resolved * 4)))
-        parts = [jobs[i : i + chunk] for i in range(0, len(jobs), chunk)]
-        results = []
-        with ProcessPoolExecutor(
-            max_workers=min(resolved, len(parts)),
-            initializer=_init_replica_worker,
-            initargs=(
-                architecture,
-                config,
-                flood_layer_index,
-                flood_fraction,
-                fast,
-            ),
-        ) as pool:
-            for part in pool.map(_run_replica_chunk, parts):
-                results.extend(part)
-    results.sort(key=lambda pair: pair[0])
-    return [report for _, report in results]
-
-
-def _run_replica_chunk_serial(
-    architecture: SOSArchitecture,
-    config: PacketSimConfig,
-    layer: Optional[int],
-    fraction: float,
-    fast: bool,
-    jobs: List[Tuple[int, np.random.SeedSequence]],
-) -> List[Tuple[int, PacketSimReport]]:
+    seeds = np.random.SeedSequence(seed).spawn(replicas)
     return [
-        (
-            index,
-            _run_one_replica(architecture, config, layer, fraction, fast, seed),
+        _run_one_replica(
+            architecture, config, flood_layer_index, flood_fraction, fast,
+            replica_seed,
         )
-        for index, seed in jobs
+        for replica_seed in seeds
     ]
 
 

@@ -17,9 +17,9 @@ congested, while un-flooded runs deliver ~100%.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Container, Dict, List, Optional, Sequence
 
-from repro.errors import SimulationError
+from repro.errors import DetectionError, SimulationError
 from repro.simulation.capacity import NodeCapacity
 from repro.simulation.engine import EventScheduler
 from repro.sos.deployment import SOSDeployment
@@ -154,6 +154,52 @@ class PacketSimReport:
         if not self.drops_per_layer:
             return None
         return max(self.drops_per_layer, key=lambda k: self.drops_per_layer[k])
+
+
+def check_run_inputs(
+    nodes: Container[int],
+    targets: Sequence[int],
+    schedule: "Optional[InjectionSchedule]",
+    marking: "Optional[MarkCollector]",
+) -> None:
+    """Reject run inputs neither engine can honour; both engines call it.
+
+    ``nodes`` answers ``in`` for every SOS node and filter. Flood
+    targets, scheduled attack targets and surge contacts must all be
+    among them; packet marking must cover every flood target and cannot
+    be combined with a schedule (it models the classic flood graph only).
+    """
+    for target in targets:
+        if target not in nodes:
+            raise SimulationError(
+                f"flood target {target} is not an SOS node or filter"
+            )
+    if schedule is not None:
+        for node in schedule.attack_targets:
+            if node not in nodes:
+                raise SimulationError(
+                    f"scheduled attack target {node} is not an SOS "
+                    "node or filter"
+                )
+        for source in schedule.surge_sources:
+            for contact in source.contacts:
+                if contact not in nodes:
+                    raise SimulationError(
+                        f"surge contact {contact} is not an SOS node "
+                        "or filter"
+                    )
+        if marking is not None:
+            raise DetectionError(
+                "packet marking does not support scheduled scenario "
+                "vectors; run marking against a classic flood instead"
+            )
+    if marking is not None and targets:
+        uncovered = set(targets) - set(marking.graph.victims())
+        if uncovered:
+            raise DetectionError(
+                "marking attack graph does not cover flood targets "
+                f"{sorted(uncovered)}"
+            )
 
 
 class PacketLevelSimulation:
@@ -417,42 +463,6 @@ class PacketLevelSimulation:
         flood. Packet marking covers only the classic flood graph, so
         combining ``marking`` with a schedule is rejected.
         """
-        targets = sorted(flood_targets or ())
-        for target in targets:
-            if target not in self._capacities:
-                raise SimulationError(
-                    f"flood target {target} is not an SOS node or filter"
-                )
-        if schedule is not None:
-            for node in schedule.attack_targets:
-                if node not in self._capacities:
-                    raise SimulationError(
-                        f"scheduled attack target {node} is not an SOS "
-                        "node or filter"
-                    )
-            for source in schedule.surge_sources:
-                for contact in source.contacts:
-                    if contact not in self._capacities:
-                        raise SimulationError(
-                            f"surge contact {contact} is not an SOS node "
-                            "or filter"
-                        )
-            if self.marking is not None:
-                from repro.errors import DetectionError
-
-                raise DetectionError(
-                    "packet marking does not support scheduled scenario "
-                    "vectors; run marking against a classic flood instead"
-                )
-        if self.marking is not None and targets:
-            uncovered = set(targets) - set(self.marking.graph.victims())
-            if uncovered:
-                from repro.errors import DetectionError
-
-                raise DetectionError(
-                    "marking attack graph does not cover flood targets "
-                    f"{sorted(uncovered)}"
-                )
         if fast:
             from repro.perf.fastsim import run_fast
 
@@ -473,6 +483,8 @@ class PacketLevelSimulation:
                 schedule=schedule,
             )
             return self.report
+        targets = sorted(flood_targets or ())
+        check_run_inputs(self._capacities, targets, schedule, self.marking)
         # One dedicated stream per flood target, spawned in sorted-target
         # order — the same order the fast path uses — so each target's
         # flood schedule matches across engines. Mark streams mirror the

@@ -222,6 +222,44 @@ class TestLookupStatistics:
             ring.lookup_statistics(samples=0)
 
 
+class TestRebuildEquivalence:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_vectorized_rebuild_matches_scalar(self, seed):
+        rng = np.random.default_rng(seed)
+        bits = int(rng.integers(5, 14))
+        size = min(2**bits - 1, 30)
+        ids = sorted(
+            int(i) for i in rng.choice(2**bits, size=size, replace=False)
+        )
+        vec = ChordRing.build(ids, bits=bits)
+        scalar = ChordRing.build(vec.live_node_ids, bits=bits)
+        scalar._rebuild_routing_state_scalar()
+        for node_id in vec.live_node_ids:
+            a, b = vec.node(node_id), scalar.node(node_id)
+            assert a.fingers == b.fingers
+            assert a.successor_list == b.successor_list
+            assert a.predecessor == b.predecessor
+
+    def test_wide_ring_scalar_rebuild(self):
+        # 160 bits exceed the int64 column limit, so build takes the
+        # scalar rebuild; its routing state must still be exact.
+        bits = 160
+        ids = [2**80, 2**120, 2**159 + 11]
+        ring = ChordRing.build(ids, bits=bits)
+        assert ring.find_successor(2**100) == 2**120
+        assert ring.find_successor(2**159 + 12) == 2**80  # wraps
+        for node_id in ids:
+            assert ring.node(node_id).fingers == [
+                ring.find_successor((node_id + 2**i) % 2**bits)
+                for i in range(bits)
+            ]
+        for key in [0, 2**80, 2**100, 2**159, 2**159 + 11, 2**bits - 1]:
+            for start in ids:
+                result = ring.lookup(key, start=start)
+                assert result.succeeded
+                assert result.owner == ring.find_successor(key)
+
+
 class TestValidationAndLimits:
     def test_bad_successor_list_length(self):
         with pytest.raises(ConfigurationError):

@@ -137,7 +137,7 @@ class TestPacketEngineTierEquality:
             )
             reports = run_packet_replicas(
                 arch, config, replicas=3, flood_layer_index=1,
-                flood_fraction=0.5, seed=17, workers=1,
+                flood_fraction=0.5, seed=17,
             )
             results[tier] = [dataclasses.asdict(r) for r in reports]
         assert results["numpy"] == results["compiled"]

@@ -168,23 +168,9 @@ class TestReplicaDispatcher:
         filters=4,
     )
 
-    def test_serial_and_parallel_bit_identical(self):
-        kwargs = dict(
-            flood_layer_index=1, flood_fraction=0.5, seed=123, fast=True
-        )
-        serial = run_packet_replicas(
-            self.ARCH, self.CONFIG, replicas=4, workers=1, **kwargs
-        )
-        parallel = run_packet_replicas(
-            self.ARCH, self.CONFIG, replicas=4, workers=2, **kwargs
-        )
-        assert len(serial) == len(parallel) == 4
-        for a, b in zip(serial, parallel):
-            assert dataclasses.asdict(a) == dataclasses.asdict(b)
-
     def test_mean_delivery_ratio_helper(self):
         reports = run_packet_replicas(
-            self.ARCH, self.CONFIG, replicas=3, seed=5, workers=1
+            self.ARCH, self.CONFIG, replicas=3, seed=5
         )
         value = mean_delivery_ratio(reports)
         assert value == pytest.approx(
@@ -195,10 +181,10 @@ class TestReplicaDispatcher:
 
     def test_event_engine_replicas_supported(self):
         fast = run_packet_replicas(
-            self.ARCH, self.CONFIG, replicas=2, seed=9, workers=1, fast=True
+            self.ARCH, self.CONFIG, replicas=2, seed=9, fast=True
         )
         event = run_packet_replicas(
-            self.ARCH, self.CONFIG, replicas=2, seed=9, workers=1, fast=False
+            self.ARCH, self.CONFIG, replicas=2, seed=9, fast=False
         )
         # Same deployments, no flood: both deliver everything.
         assert all(r.delivery_ratio == 1.0 for r in fast)

@@ -1,4 +1,4 @@
-"""SlotIndex edge cases and the arrays-only zero-client engine path."""
+"""SlotIndex edge cases and the zero-client engine path."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import SOSArchitecture
 from repro.errors import SimulationError
-from repro.perf.fastsim import SlotIndex, encode_deployment, run_fast
+from repro.perf.fastsim import SlotIndex, run_fast
 from repro.simulation.packet_sim import PacketSimConfig, flood_layer
 from repro.sos.deployment import SOSDeployment
 from tests.perf.scan_oracle import SCAN_ORACLE, engine_tier
@@ -91,15 +91,12 @@ class TestZeroClientArraysRun:
     @pytest.mark.parametrize("tier", [SCAN_ORACLE, "numpy", "compiled"])
     def test_zero_clients_no_contacts(self, tier):
         dep = self._deployment()
-        arrays = encode_deployment(dep)
         with engine_tier(tier) as config_tier:
             config = PacketSimConfig(
                 duration=10.0, warmup=2.0, clients=0, client_rate=1.0,
                 tier=config_tier,
             )
-            report = run_fast(
-                None, config, rng=9, client_contacts=[], arrays=arrays
-            )
+            report = run_fast(dep, config, rng=9, client_contacts=[])
         assert report.sent == 0
         assert report.delivered == 0
         assert report.latency_count == 0
@@ -107,14 +104,12 @@ class TestZeroClientArraysRun:
     def test_zero_clients_flooded_still_congests(self):
         dep = self._deployment()
         targets = flood_layer(dep, layer=1, fraction=0.5, rng=2)
-        arrays = encode_deployment(dep)
         config = PacketSimConfig(
             duration=20.0, warmup=2.0, clients=0, client_rate=1.0,
             flood_rate=150.0,
         )
         report = run_fast(
-            None, config, rng=9, flood_targets=targets,
-            client_contacts=[], arrays=arrays,
+            dep, config, rng=9, flood_targets=targets, client_contacts=[]
         )
         assert report.sent == 0
         assert report.attack_packets_absorbed > 0

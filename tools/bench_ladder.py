@@ -43,7 +43,7 @@ import numpy as np
 from repro.core import SOSArchitecture
 from repro.detection.monitor import MonitorConfig, TrafficMonitor
 from repro.perf.compiled import TIERS, available_tiers, compiled_backend
-from repro.perf.fastsim import encode_deployment, run_fast
+from repro.perf.fastsim import run_fast
 from repro.simulation.packet_sim import PacketSimConfig, flood_layer
 from repro.sos.deployment import SOSDeployment
 
@@ -78,14 +78,13 @@ def _prepare_flooded(
     )
     deployment = SOSDeployment.deploy(arch, rng=7)
     targets = flood_layer(deployment, layer=1, fraction=0.5, rng=2)
-    arrays = encode_deployment(deployment)
     contact_rng = np.random.default_rng(123)
     contacts = [
         deployment.sample_client_contacts(contact_rng)
         for _ in range(clients)
     ]
     return {
-        "arrays": arrays,
+        "deployment": deployment,
         "targets": targets,
         "contacts": contacts,
         "clients": clients,
@@ -104,12 +103,11 @@ def _run_flooded(state: Dict[str, Any], tier: str) -> Tuple[Any, ...]:
         tier=tier,
     )
     report = run_fast(
-        None,
+        state["deployment"],
         config,
         rng=1,
         flood_targets=state["targets"],
         client_contacts=state["contacts"],
-        arrays=state["arrays"],
     )
     return (
         report.sent,

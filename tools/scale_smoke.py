@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
-"""Scale smoke test: large-N flooded fastsim + batched Chord lookups.
+"""Scale smoke test: large-N deploy, encode and flooded fastsim.
 
 Deploys one SOS instance over an ``--nodes``-node overlay (default 10⁵),
-floods a fraction of layer 1, runs the vectorized packet engine over the
-struct-of-arrays encoding, then pushes ``--lookups`` batched Chord
-lookups (default 10⁴) through the deployment's ring — all under one
-wall-clock budget. Per-phase timings and the process memory high-water
-mark land in a JSON artifact (CI uploads it from the ``bench-smoke``
-job), so the scale path the array core exists for is exercised on every
-PR, not just when someone remembers to run a million-node experiment.
+encodes it into the struct-of-arrays form, floods a fraction of layer 1
+and runs the vectorized packet engine — all under one wall-clock
+budget. Per-phase timings and the process memory high-water mark land
+in a JSON artifact (CI uploads it from the ``bench-smoke`` job), so the
+scale path the array core exists for is exercised on every PR, not
+just when someone remembers to run a million-node experiment.
 
 Usage::
 
@@ -37,14 +36,11 @@ def peak_rss_kb() -> int:
 def run_scale_smoke(
     nodes: int,
     sos_nodes: int,
-    lookups: int,
     clients: int,
     flood_fraction: float,
     seed: int,
 ) -> dict:
-    """Run the deploy → flooded fastsim → Chord phases; returns the report."""
-    import numpy as np
-
+    """Run the deploy → encode → flooded fastsim phases; returns the report."""
     from repro.core import SOSArchitecture
     from repro.perf.fastsim import encode_deployment, run_fast
     from repro.simulation.packet_sim import PacketSimConfig, flood_layer
@@ -95,29 +91,15 @@ def run_scale_smoke(
         "attack_packets_absorbed": report.attack_packets_absorbed,
     }
 
-    start = time.perf_counter()
-    ring = deployment.chord
-    live = np.asarray(ring.live_node_ids, dtype=np.int64)
-    keys = rng.integers(0, ring.space.size, size=lookups)
-    starts = live[rng.integers(0, len(live), size=lookups)]
-    batch = ring.lookup_batch([int(k) for k in keys], [int(s) for s in starts])
-    phases["chord_lookup_batch"] = {
-        "seconds": time.perf_counter() - start,
-        "lookups": lookups,
-        "succeeded": int(batch.succeeded.sum()),
-        "mean_hops": float(batch.hops.mean()),
-    }
-
     return {"phases": phases}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Large-N flooded fastsim + Chord smoke under a wall budget"
+        description="Large-N flooded fastsim smoke under a wall budget"
     )
     parser.add_argument("--nodes", type=int, default=100_000)
     parser.add_argument("--sos-nodes", type=int, default=3_000)
-    parser.add_argument("--lookups", type=int, default=10_000)
     parser.add_argument("--clients", type=int, default=200)
     parser.add_argument("--flood-fraction", type=float, default=0.25)
     parser.add_argument("--seed", type=int, default=20040326)
@@ -134,7 +116,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     result = run_scale_smoke(
         nodes=args.nodes,
         sos_nodes=args.sos_nodes,
-        lookups=args.lookups,
         clients=args.clients,
         flood_fraction=args.flood_fraction,
         seed=args.seed,
