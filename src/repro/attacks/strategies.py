@@ -18,23 +18,54 @@ Both strategies share the two-phase shape:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Sequence, Set
+
+import numpy as np
 
 from repro.attacks.knowledge import AttackerKnowledge
 from repro.attacks.outcome import AttackOutcome
 from repro.core.attack_models import OneBurstAttack, SuccessiveAttack
 from repro.errors import ConfigurationError
+from repro.overlay.arrays import (
+    HEALTH_COMPROMISED,
+    HEALTH_CONGESTED,
+    OverlayStore,
+)
 from repro.sos.deployment import SOSDeployment
 from repro.utils.seeding import SeedLike, make_rng
 
 
+def _picks(rng, size: int, count: int) -> np.ndarray:
+    """Positions of ``count`` distinct uniform picks from ``range(size)``."""
+    count = min(count, size)
+    if count <= 0:
+        return np.empty(0, dtype=np.int64)
+    return rng.choice(size, size=count, replace=False)
+
+
 def _sample(rng, pool: Sequence[int], count: int) -> List[int]:
     """Uniformly sample ``count`` distinct items from ``pool``."""
-    count = min(count, len(pool))
-    if count <= 0:
-        return []
-    chosen = rng.choice(len(pool), size=count, replace=False)
-    return [pool[int(i)] for i in chosen]
+    picks = _picks(rng, len(pool), count)
+    return np.asarray(pool, dtype=np.int64)[picks].tolist()
+
+
+def _overlay_pool(deployment: SOSDeployment, excluded: Set[int]) -> np.ndarray:
+    """Overlay identifiers, ascending, minus ``excluded``."""
+    ids = deployment.network.store.sorted_ids
+    if not excluded:
+        return ids
+    drop = np.fromiter(excluded, dtype=np.int64, count=len(excluded))
+    found = np.minimum(np.searchsorted(ids, drop), len(ids) - 1)
+    keep = np.ones(len(ids), dtype=bool)
+    keep[found[ids[found] == drop]] = False
+    return ids[keep]
+
+
+def _congest(store: OverlayStore, node_ids: np.ndarray) -> None:
+    """Flood ``node_ids``: every one not broken into becomes CONGESTED."""
+    rows = store.rows_of(node_ids)
+    rows = rows[store.health[rows] != HEALTH_COMPROMISED]
+    store.set_health_many(rows, HEALTH_CONGESTED)
 
 
 def _attempt_break_ins(
@@ -70,18 +101,15 @@ def _attempt_break_ins(
 
 def _random_break_in_pool(
     deployment: SOSDeployment, knowledge: AttackerKnowledge
-) -> List[int]:
+) -> np.ndarray:
     """Overlay nodes eligible for random break-in attempts.
 
     Mirrors Eq. (11)'s pool: the whole overlay minus everything already
     attempted and minus currently known (those are attacked deliberately).
     """
-    excluded = knowledge.attempted | knowledge.known_unattacked
-    return [
-        node_id
-        for node_id in deployment.network.node_ids
-        if node_id not in excluded
-    ]
+    return _overlay_pool(
+        deployment, knowledge.attempted | knowledge.known_unattacked
+    )
 
 
 def _congestion_phase(
@@ -91,30 +119,28 @@ def _congestion_phase(
     rng,
 ) -> int:
     """Flood disclosed nodes first, then random overlay nodes. Returns spend."""
-    overlay_targets = sorted(knowledge.congestion_targets)
-    filter_targets = sorted(knowledge.congestion_filter_targets)
-    disclosed_targets = overlay_targets + filter_targets
-    spent = 0
-    if budget >= len(disclosed_targets):
-        for node_id in disclosed_targets:
-            deployment.resolve(node_id).congest()
-        spent = len(disclosed_targets)
-        surplus = budget - spent
-        if surplus > 0:
-            excluded = knowledge.broken | set(overlay_targets)
-            pool = [
-                node_id
-                for node_id in deployment.network.node_ids
-                if node_id not in excluded
-            ]
-            for node_id in _sample(rng, pool, surplus):
-                deployment.resolve(node_id).congest()
-                spent += 1
-    else:
-        for node_id in _sample(rng, disclosed_targets, budget):
-            deployment.resolve(node_id).congest()
-            spent += 1
-    return spent
+    overlay_set = knowledge.congestion_targets
+    overlay_targets = np.array(sorted(overlay_set), dtype=np.int64)
+    filter_targets = np.array(
+        sorted(knowledge.congestion_filter_targets), dtype=np.int64
+    )
+    disclosed = len(overlay_targets) + len(filter_targets)
+    if budget >= disclosed:
+        surplus = np.empty(0, dtype=np.int64)
+        if budget > disclosed:
+            pool = _overlay_pool(deployment, knowledge.broken | overlay_set)
+            surplus = pool[_picks(rng, len(pool), budget - disclosed)]
+        _congest(
+            deployment.network.store, np.concatenate([overlay_targets, surplus])
+        )
+        _congest(deployment.filters.store, filter_targets)
+        return disclosed + len(surplus)
+    # Picks index the overlay targets followed by the filter targets.
+    picks = _picks(rng, disclosed, budget)
+    split = len(overlay_targets)
+    _congest(deployment.network.store, overlay_targets[picks[picks < split]])
+    _congest(deployment.filters.store, filter_targets[picks[picks >= split] - split])
+    return len(picks)
 
 
 def _outcome(
@@ -124,21 +150,12 @@ def _outcome(
     attempts: int,
     congestion_spent: int,
 ) -> AttackOutcome:
-    layers = deployment.architecture.layers
     broken = {}
     congested = {}
-    for layer in range(1, layers + 2):
-        members = deployment.layer_members(layer)
-        broken[layer] = sum(
-            1
-            for node_id in members
-            if deployment.resolve(node_id).health.value == "compromised"
-        )
-        congested[layer] = sum(
-            1
-            for node_id in members
-            if deployment.resolve(node_id).health.value == "congested"
-        )
+    for layer in range(1, deployment.architecture.layers + 2):
+        health = deployment.member_health(layer)
+        broken[layer] = int(np.count_nonzero(health == HEALTH_COMPROMISED))
+        congested[layer] = int(np.count_nonzero(health == HEALTH_CONGESTED))
     return AttackOutcome(
         broken_per_layer=broken,
         congested_per_layer=congested,
@@ -174,7 +191,7 @@ class OneBurstStrategy:
                 f"{len(deployment.network)}"
             )
         knowledge = AttackerKnowledge()
-        targets = _sample(generator, deployment.network.node_ids, n_t)
+        targets = _sample(generator, deployment.network.store.sorted_ids, n_t)
         attempts = _attempt_break_ins(
             deployment, knowledge, targets, attack.p_b, generator,
             disclosure_extension=self._disclosure_extension,

@@ -279,6 +279,16 @@ class OverlayStore:
         self.layer[row] = layer
         self.wiring_epoch += 1
 
+    def set_layer_rows(self, rows: np.ndarray, layers: np.ndarray) -> None:
+        """Bulk :meth:`set_layer`: row ``rows[k]`` moves to ``layers[k]``.
+
+        One wiring-epoch bump and one counter rebuild cover the write.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        self.layer[rows] = layers
+        self.wiring_epoch += 1
+        self.recompute_counters()
+
     def reset_roles(self) -> None:
         """Clear enrollment and neighbor tables on every node."""
         self.layer[:] = NO_LAYER
@@ -300,26 +310,64 @@ class OverlayStore:
             grown[:, : self._nbr_table.shape[1]] = self._nbr_table
             self._nbr_table = grown
 
+    def _allocate_tables(self, count: int) -> np.ndarray:
+        """Reserve ``count`` fresh compact table rows; returns their indices."""
+        needed = self._nbr_used + count
+        if needed > self._nbr_table.shape[0]:
+            grown = np.full(
+                (max(8, 2 * self._nbr_used, needed), self._nbr_table.shape[1]),
+                -1,
+                dtype=np.int64,
+            )
+            grown[: self._nbr_used] = self._nbr_table[: self._nbr_used]
+            self._nbr_table = grown
+        fresh = np.arange(self._nbr_used, needed, dtype=np.int64)
+        self._nbr_used = needed
+        return fresh
+
     def set_neighbors(self, row: int, neighbor_ids: Sequence[int]) -> None:
         values = np.asarray(tuple(neighbor_ids), dtype=np.int64)
         self._ensure_neighbor_width(len(values))
         index = int(self._nbr_index[row])
         if index == 0:
-            if self._nbr_used == self._nbr_table.shape[0]:
-                grown = np.full(
-                    (max(8, 2 * self._nbr_used), self._nbr_table.shape[1]),
-                    -1,
-                    dtype=np.int64,
-                )
-                grown[: self._nbr_used] = self._nbr_table[: self._nbr_used]
-                self._nbr_table = grown
-            index = self._nbr_used
-            self._nbr_used += 1
+            index = int(self._allocate_tables(1)[0])
             self._nbr_index[row] = index
         self._nbr_table[index, : len(values)] = values
         self._nbr_table[index, len(values):] = -1
         self.neighbor_len[row] = len(values)
         self._nbr_tuples.pop(row, None)
+        self.wiring_epoch += 1
+
+    def set_neighbor_rows(self, rows: np.ndarray, table: np.ndarray) -> None:
+        """Bulk :meth:`set_neighbors`: row ``rows[k]`` gets ``table[k]``.
+
+        ``table`` is ``(len(rows), width)``, so every row gets ``width``
+        neighbors; ``rows`` must be distinct. One wiring-epoch bump
+        covers the whole write.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        table = np.asarray(table, dtype=np.int64)
+        if table.ndim != 2 or len(table) != len(rows):
+            raise ConfigurationError(
+                f"neighbor table of shape {table.shape} does not match "
+                f"{len(rows)} rows"
+            )
+        ordered = np.sort(rows)
+        if bool((ordered[1:] == ordered[:-1]).any()):
+            raise ConfigurationError("set_neighbor_rows needs distinct rows")
+        width = table.shape[1]
+        self._ensure_neighbor_width(width)
+        index = self._nbr_index[rows]
+        fresh = np.flatnonzero(index == 0)
+        if len(fresh):
+            index[fresh] = self._allocate_tables(len(fresh))
+            self._nbr_index[rows[fresh]] = index[fresh]
+        self._nbr_table[index, :width] = table
+        self._nbr_table[index, width:] = -1
+        self.neighbor_len[rows] = width
+        if self._nbr_tuples:
+            for row in rows.tolist():
+                self._nbr_tuples.pop(row, None)
         self.wiring_epoch += 1
 
     def neighbors_of(self, row: int) -> Tuple[int, ...]:

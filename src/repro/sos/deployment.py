@@ -3,8 +3,14 @@
 :class:`SOSDeployment` turns an abstract :class:`~repro.core.SOSArchitecture`
 into running state: it enrolls ``n`` overlay nodes into layers, wires the
 random neighbor tables that realize the mapping degrees ``m_i``, stands up
-the filter ring, registers everyone with the hop authenticator, and builds
-a Chord ring over the SOS membership (the lookup substrate beacons use).
+the filter ring, and registers everyone with the hop authenticator. The
+Chord ring over the SOS membership (the lookup substrate beacons use) is
+built on first use of :attr:`SOSDeployment.chord`.
+
+Enrollment and wiring are column writes on the overlay's
+:class:`~repro.overlay.arrays.OverlayStore`: one layer-code write, one
+neighbor-table write per layer. Only the per-node neighbor draws stay
+scalar, because they define the deployment's RNG stream.
 
 This is the object both the executable attacker (:mod:`repro.attacks`) and
 the packet forwarder (:mod:`repro.sos.protocol`) operate on, and the thing
@@ -19,7 +25,7 @@ import numpy as np
 
 from repro.core.architecture import SOSArchitecture
 from repro.errors import ConfigurationError, RoutingError
-from repro.overlay.arrays import HEALTH_GOOD
+from repro.overlay.arrays import HEALTH_GOOD, OverlayStore
 from repro.overlay.chord import ChordRing
 from repro.overlay.network import OverlayNetwork
 from repro.overlay.node import OverlayNode
@@ -50,15 +56,14 @@ class SOSDeployment:
         network: OverlayNetwork,
         filters: FilterRing,
         authenticator: HopAuthenticator,
-        chord: ChordRing,
         layer_membership: Dict[int, List[int]],
     ) -> None:
         self.architecture = architecture
         self.network = network
         self.filters = filters
         self.authenticator = authenticator
-        self.chord = chord
         self._layer_membership = layer_membership
+        self._chord: Optional[ChordRing] = None
         # Lazily-built columnar caches (member id arrays / store rows per
         # layer); invalidated whenever the membership mapping changes.
         self._member_arrays: Dict[int, np.ndarray] = {}
@@ -92,18 +97,12 @@ class SOSDeployment:
         network.reset_roles()
         network.reset_health()
 
-        layer_sizes = architecture.integer_layer_sizes
-        sos_nodes = network.random_nodes(sum(layer_sizes), rng=generator)
-        generator.shuffle(sos_nodes)  # type: ignore[arg-type]
-
-        layer_membership: Dict[int, List[int]] = {}
-        cursor = 0
-        for layer_index, size in enumerate(layer_sizes, start=1):
-            members = sos_nodes[cursor : cursor + size]
-            cursor += size
-            for node in members:
-                node.sos_layer = layer_index
-            layer_membership[layer_index] = sorted(n.node_id for n in members)
+        sizes = architecture.integer_layer_sizes
+        sos_rows = generator.choice(len(network), size=sum(sizes), replace=False)
+        # The shuffle adds no randomness, but its draws are part of the
+        # seeded stream: dropping it would change every seeded result.
+        generator.shuffle(sos_rows)
+        layer_membership = _enroll_layers(network.store, sos_rows, sizes)
 
         filters = FilterRing(
             count=architecture.filters,
@@ -112,43 +111,44 @@ class SOSDeployment:
         )
         layer_membership[architecture.layers + 1] = filters.filter_ids
 
-        authenticator = HopAuthenticator(architecture.layers + 1)
-        for layer, members in layer_membership.items():
-            for member in members:
-                authenticator.enroll(layer, member)
-
         deployment = cls(
             architecture=architecture,
             network=network,
             filters=filters,
-            authenticator=authenticator,
-            chord=ChordRing.build(
-                sorted(node.node_id for node in sos_nodes),
-                bits=network.space.bits,
-            ),
+            authenticator=HopAuthenticator(architecture.layers + 1),
             layer_membership=layer_membership,
         )
+        deployment._enroll_authenticator()
         deployment._wire_neighbor_tables(generator)
         return deployment
 
+    def _enroll_authenticator(self) -> None:
+        for layer, members in self._layer_membership.items():
+            self.authenticator.enroll_many(layer, members)
+
     def _wire_neighbor_tables(self, generator) -> None:
-        """Give every layer-``i`` node ``m_{i+1}`` random next-layer neighbors."""
+        """Give every layer-``i`` node ``m_{i+1}`` random next-layer neighbors.
+
+        One ``generator.choice`` per node, in member order, fixes the
+        stream; each layer's picks land in the store as one table write.
+        """
         arch = self.architecture
+        store = self.network.store
         for layer in range(1, arch.layers + 1):
             next_layer = layer + 1
-            candidates = self._layer_membership[next_layer]
-            degree = arch.mapping_degree(next_layer)
-            degree = min(degree, len(candidates))
-            for node_id in self._layer_membership[layer]:
-                chosen = generator.choice(
+            candidates = self.member_array(next_layer)
+            degree = min(arch.mapping_degree(next_layer), len(candidates))
+            rows = self.member_rows(layer)
+            picks = np.empty((len(rows), degree), dtype=np.int64)
+            for k in range(len(rows)):
+                picks[k] = generator.choice(
                     len(candidates), size=degree, replace=False
                 )
-                neighbors = tuple(candidates[int(i)] for i in chosen)
-                self.network.get(node_id).set_neighbors(neighbors)
-                if next_layer == arch.layers + 1:
-                    for filter_id in neighbors:
-                        # Every servlet that knows a filter is whitelisted.
-                        self.filters.allow_servlet(node_id)
+            store.set_neighbor_rows(rows, candidates[picks])
+            if next_layer == arch.layers + 1 and degree > 0:
+                # Every servlet that knows a filter is whitelisted.
+                for node_id in self._layer_membership[layer]:
+                    self.filters.allow_servlet(node_id)
 
     # ------------------------------------------------------------------
     # Views
@@ -170,6 +170,15 @@ class SOSDeployment:
         if not node.is_sos:
             raise ConfigurationError(f"node {node_id} is not enrolled in SOS")
         return role_for_layer(node.sos_layer, self.architecture.layers)
+
+    @property
+    def chord(self) -> ChordRing:
+        """Chord ring over the current SOS membership, built on first use."""
+        if self._chord is None:
+            self._chord = ChordRing.build(
+                self.sos_member_array(), bits=self.network.space.bits
+            )
+        return self._chord
 
     def resolve(self, node_id: int) -> OverlayNode:
         """Resolve an identifier against overlay nodes and filters alike."""
@@ -238,22 +247,26 @@ class SOSDeployment:
             )
         return self._sos_member_cache
 
-    def _invalidate_member_caches(self) -> None:
-        self._member_arrays.clear()
-        self._member_rows.clear()
-        self._sos_member_cache = None
-        self._fastsim_structure = None
-
-    def good_members(self, layer: int) -> List[int]:
-        """Identifiers of still-routable members of ``layer``."""
+    def member_health(self, layer: int) -> np.ndarray:
+        """Health codes of ``layer``'s members, aligned with :meth:`member_array`."""
         store = (
             self.filters.store
             if layer == self.architecture.layers + 1
             else self.network.store
         )
-        rows = self.member_rows(layer)
-        members = self.member_array(layer)
-        return members[store.health[rows] == 0].tolist()
+        return store.health[self.member_rows(layer)]
+
+    def _invalidate_member_caches(self) -> None:
+        self._member_arrays.clear()
+        self._member_rows.clear()
+        self._sos_member_cache = None
+        self._fastsim_structure = None
+        self._chord = None
+
+    def good_members(self, layer: int) -> List[int]:
+        """Identifiers of still-routable members of ``layer``."""
+        good = self.member_health(layer) == HEALTH_GOOD
+        return self.member_array(layer)[good].tolist()
 
     def bad_counts(self) -> Dict[int, int]:
         """Per-layer count of bad (compromised, congested, or crashed).
@@ -311,18 +324,28 @@ class SOSDeployment:
             )
         self.network.reset_roles()
         self.network.reset_health()
-        cursor = 0
-        membership: Dict[int, List[int]] = {}
-        for layer_index, size in enumerate(sizes, start=1):
-            members = list(chosen_nodes[cursor : cursor + size])
-            cursor += size
-            for node_id in members:
-                self.network.get(node_id).sos_layer = layer_index
-            membership[layer_index] = sorted(members)
+        membership = _enroll_layers(
+            self.network.store, self.network.store.rows_of(chosen_nodes), sizes
+        )
         membership[self.architecture.layers + 1] = self.filters.filter_ids
         self._layer_membership = membership
         self._invalidate_member_caches()
-        for layer, members in membership.items():
-            for member in members:
-                self.authenticator.enroll(layer, member)
+        self._enroll_authenticator()
         self._wire_neighbor_tables(generator)
+
+
+def _enroll_layers(
+    store: OverlayStore, rows: np.ndarray, sizes: Sequence[int]
+) -> Dict[int, List[int]]:
+    """Enroll consecutive slices of ``rows`` into layers ``1..L``.
+
+    Writes the layer codes in one store write and returns each layer's
+    sorted member identifiers.
+    """
+    codes = np.repeat(np.arange(1, len(sizes) + 1, dtype=np.int32), sizes)
+    store.set_layer_rows(rows, codes)
+    bounds = np.cumsum([0, *sizes])
+    return {
+        layer: np.sort(store.ids[rows[bounds[layer - 1] : bounds[layer]]]).tolist()
+        for layer in range(1, len(sizes) + 1)
+    }

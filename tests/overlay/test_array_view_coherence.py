@@ -177,6 +177,118 @@ class TestNeighborTableCoherence:
         assert encode_deployment(dep).node_ids is not first.node_ids
 
 
+class TestBulkNeighborRows:
+    """``set_neighbor_rows`` equals one ``set_neighbors`` per row."""
+
+    @staticmethod
+    def _pair(ids):
+        return OverlayStore(ids), OverlayStore(ids)
+
+    @staticmethod
+    def assert_same_tables(bulk, per_row):
+        assert np.array_equal(bulk.neighbor_len, per_row.neighbor_len)
+        rows = np.arange(len(bulk))
+        width = int(per_row.neighbor_len.max(initial=0))
+        assert np.array_equal(
+            bulk.neighbor_matrix(rows, width), per_row.neighbor_matrix(rows, width)
+        )
+        for row in rows.tolist():
+            assert bulk.neighbors_of(row) == per_row.neighbors_of(row)
+
+    def test_matches_per_row_writes(self):
+        bulk, per_row = self._pair(range(100, 120))
+        rows = np.asarray([7, 2, 15, 0])
+        table = np.asarray([[1, 2, 3], [4, 5, 6], [7, 8, 9], [10, 11, 12]])
+        bulk.set_neighbor_rows(rows, table)
+        for row, neighbors in zip(rows.tolist(), table.tolist()):
+            per_row.set_neighbors(row, neighbors)
+        self.assert_same_tables(bulk, per_row)
+
+    def test_rewrite_mixes_fresh_and_wired_rows(self):
+        bulk, per_row = self._pair(range(10))
+        for store in (bulk, per_row):
+            store.set_neighbors(3, (1, 2, 4, 5))
+            store.set_neighbors(6, (9,))
+        rows = np.asarray([6, 1, 3])
+        table = np.asarray([[0, 2], [7, 8], [5, 4]])
+        bulk.set_neighbor_rows(rows, table)
+        for row, neighbors in zip(rows.tolist(), table.tolist()):
+            per_row.set_neighbors(row, neighbors)
+        self.assert_same_tables(bulk, per_row)
+        assert bulk.neighbor_matrix(np.asarray([3]), 4).tolist() == [[5, 4, -1, -1]]
+
+    def test_grows_past_table_capacity(self):
+        bulk, per_row = self._pair(range(40))
+        rows = np.arange(40)[::-1]
+        table = np.stack([rows + 1, rows + 2], axis=1)
+        bulk.set_neighbor_rows(rows, table)
+        for row, neighbors in zip(rows.tolist(), table.tolist()):
+            per_row.set_neighbors(row, neighbors)
+        self.assert_same_tables(bulk, per_row)
+
+    def test_zero_width_rows(self):
+        bulk, per_row = self._pair(range(4))
+        bulk.set_neighbor_rows(np.asarray([1, 2]), np.empty((2, 0), dtype=np.int64))
+        per_row.set_neighbors(1, ())
+        per_row.set_neighbors(2, ())
+        self.assert_same_tables(bulk, per_row)
+
+    def test_invalidates_cached_tuples(self):
+        store = OverlayStore(range(5))
+        store.set_neighbors(2, (3, 4))
+        assert store.neighbors_of(2) == (3, 4)  # cached tuple
+        store.set_neighbor_rows(np.asarray([2, 0]), np.asarray([[1], [2]]))
+        assert store.neighbors_of(2) == (1,)
+        assert store.neighbors_of(0) == (2,)
+
+    def test_one_epoch_bump_per_write(self):
+        store = OverlayStore(range(6))
+        epoch = store.wiring_epoch
+        store.set_neighbor_rows(np.arange(6), np.zeros((6, 2), dtype=np.int64))
+        assert store.wiring_epoch == epoch + 1
+
+    def test_epoch_bump_invalidates_cached_structure(self):
+        dep = deployment()
+        first = encode_deployment(dep)
+        rows = dep.member_rows(1)
+        store = dep.network.store
+        width = int(store.neighbor_len[rows].max())
+        store.set_neighbor_rows(rows, store.neighbor_matrix(rows, width))
+        assert encode_deployment(dep).node_ids is not first.node_ids
+
+    def test_rejects_mismatched_or_repeated_rows(self):
+        from repro.errors import ConfigurationError
+
+        store = OverlayStore(range(5))
+        with pytest.raises(ConfigurationError):
+            store.set_neighbor_rows(np.asarray([0, 1]), np.zeros((3, 2)))
+        with pytest.raises(ConfigurationError):
+            store.set_neighbor_rows(np.asarray([1, 1]), np.zeros((2, 2)))
+
+
+class TestBulkLayerRows:
+    """``set_layer_rows`` equals one ``set_layer`` per row."""
+
+    def test_matches_per_row_writes_and_migrates_counters(self):
+        bulk, per_row = OverlayStore(range(12)), OverlayStore(range(12))
+        for store in (bulk, per_row):
+            store.set_layer(0, 2)
+            store.set_health(0, HEALTH_CRASHED)
+            store.set_health(5, HEALTH_COMPROMISED)
+        rows = np.asarray([5, 0, 9, 3])
+        layers = np.asarray([1, 3, 3, 2])
+        epoch = bulk.wiring_epoch
+        bulk.set_layer_rows(rows, layers)
+        assert bulk.wiring_epoch == epoch + 1
+        for row, layer in zip(rows.tolist(), layers.tolist()):
+            per_row.set_layer(row, layer)
+        assert np.array_equal(bulk.layer, per_row.layer)
+        for layer in range(4):
+            assert bulk.bad_count(layer) == per_row.bad_count(layer)
+            assert bulk.crashed_count(layer) == per_row.crashed_count(layer)
+        assert bulk.bad_count(3) == 1 and bulk.crashed_count(3) == 1
+
+
 class TestEncoderBitIdentity:
     """Column-borrowing encoder == original object-walking oracle."""
 

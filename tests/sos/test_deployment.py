@@ -171,3 +171,13 @@ class TestViews:
     def test_chord_ring_covers_sos_nodes(self, deployment):
         sos_ids = {node.node_id for node in deployment.network.sos_nodes}
         assert set(deployment.chord.live_node_ids) == sos_ids
+
+    def test_chord_ring_covers_reassigned_nodes(self, deployment):
+        import numpy as np
+
+        assert deployment.chord.live_node_ids  # ring over the first membership
+        chosen = [node.node_id for node in deployment.network][:60]
+        deployment.reassign_membership(chosen, np.random.default_rng(9))
+        sos_ids = {node.node_id for node in deployment.network.sos_nodes}
+        assert sos_ids == set(chosen)
+        assert set(deployment.chord.live_node_ids) == sos_ids
