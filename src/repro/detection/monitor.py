@@ -126,6 +126,13 @@ class MonitorConfig:
             )
 
 
+def _first_of_runs(values: npt.NDArray[np.int64]) -> npt.NDArray[np.bool_]:
+    """Mask of the first element of each run of equal sorted ``values``."""
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return first
+
+
 def _detection_bin(
     series: npt.NDArray[np.float64], config: MonitorConfig
 ) -> Optional[int]:
@@ -258,9 +265,10 @@ class TrafficMonitor:
                 f"run spans more than {_BIN_STRIDE} bins; increase bin_width"
             )
         codes = nodes * _BIN_STRIDE + bins
-        # Merge the batch into the sorted columns with one unique pass —
-        # no per-(node, bin) Python loop, so draining a million offers
-        # over a million nodes stays a few vector operations.
+        # Merge the batch into the sorted columns with one sort and one
+        # segmented sum per tally — no per-(node, bin) Python loop, so
+        # draining a million offers over a million nodes stays a few
+        # vector operations.
         merged = np.concatenate([self._codes, codes])
         add_offered = np.concatenate(
             [self._offered, np.ones(len(codes), dtype=np.int64)]
@@ -268,14 +276,12 @@ class TrafficMonitor:
         add_dropped = np.concatenate(
             [self._dropped, (~accepted).astype(np.int64)]
         )
-        unique, inverse = np.unique(merged, return_inverse=True)
-        offered = np.zeros(len(unique), dtype=np.int64)
-        dropped = np.zeros(len(unique), dtype=np.int64)
-        np.add.at(offered, inverse, add_offered)
-        np.add.at(dropped, inverse, add_dropped)
-        self._codes = unique
-        self._offered = offered
-        self._dropped = dropped
+        order = np.argsort(merged, kind="stable")
+        merged = merged[order]
+        starts = np.flatnonzero(_first_of_runs(merged))
+        self._codes = merged[starts]
+        self._offered = np.add.reduceat(add_offered[order], starts)
+        self._dropped = np.add.reduceat(add_dropped[order], starts)
         self._last_bin = max(self._last_bin, int(bins.max()))
 
     # ------------------------------------------------------------------
@@ -290,7 +296,8 @@ class TrafficMonitor:
     def nodes(self) -> List[int]:
         """Sorted ids of every node that was offered at least one packet."""
         self._drain()
-        return np.unique(self._codes // _BIN_STRIDE).tolist()
+        node_ids = self._codes // _BIN_STRIDE
+        return node_ids[_first_of_runs(node_ids)].tolist()
 
     def snapshot(self) -> Dict[int, Dict[int, Tuple[int, int]]]:
         """``{node: {bin: (offered, dropped)}}`` — the full counter state."""

@@ -69,8 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--tier",
         choices=TIERS,
-        help="execution tier for figures that accept one "
-        "(bit-identical; only speed changes)",
+        help="execution tier for figures that accept one (default: "
+        "the scenario spec's); other packet-engine figures run the "
+        "compiled C kernels, falling back to numpy with a warning when "
+        "they cannot be built (bit-identical; only speed changes)",
     )
     return parser
 

@@ -3,14 +3,15 @@
 The fast engine runs its hot paths at one of two tiers:
 
 ``numpy``
-    The vectorized implementations that ship as the **default and
-    oracle** — nothing about their behavior changes here.
+    The vectorized implementations, kept as the **oracle** — nothing
+    about their behavior changes here.
 ``compiled``
-    Machine-code kernels for the per-event sequential recursions that
-    numpy cannot vectorize (Lindley token-bucket replay, CUSUM/EWMA
-    scans, congestion-aware routing), written in C, compiled once per
-    machine with the system toolchain (:mod:`repro.perf._cc`) and bound
-    through :mod:`ctypes` by :class:`KernelSet`.
+    The **default**: machine-code kernels for the per-event sequential
+    recursions that numpy cannot vectorize (Lindley token-bucket
+    replay, CUSUM/EWMA scans, congestion-aware routing), written in C,
+    compiled once per machine with the system toolchain
+    (:mod:`repro.perf._cc`) and bound through :mod:`ctypes` by
+    :class:`KernelSet`.
 
     The kernels replay the numpy arithmetic operation for operation, so
     the compiled tier is *bit-identical* to the numpy tier wherever the
@@ -19,13 +20,15 @@ The fast engine runs its hot paths at one of two tiers:
     property-tested in ``tests/perf/test_compiled_kernels.py`` and
     ``tests/perf/test_compiled_tier.py``.
 
-Tier selection is data (``PacketSimConfig.tier``), resolved here.
-Requesting ``compiled`` with no C compiler (or a failed build) degrades
-to ``numpy`` with a one-time :class:`CompiledTierUnavailableWarning`
-naming the reason, so code never has to guard on the environment. Code
-with no user-visible tier (the traffic monitor's detector scan) takes
-the C kernel whenever the library loads, silently: the two are
-bit-identical, so the choice is the platform's, not the caller's.
+Tier selection is data (``PacketSimConfig.tier``, ``compiled`` unless
+the caller names ``numpy``), resolved here. The compiled tier with no C
+compiler (or a failed build) degrades to ``numpy`` with a one-time
+:class:`CompiledTierUnavailableWarning` naming the reason, whether the
+caller asked for it or took the default, so code never has to guard on
+the environment. Code with no user-visible tier (the traffic monitor's
+detector scan) takes the C kernel whenever the library loads, silently:
+the two are bit-identical, so the choice is the platform's, not the
+caller's.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ TIERS: Tuple[str, ...] = ("numpy", "compiled")
 
 
 class CompiledTierUnavailableWarning(RuntimeWarning):
-    """Raised (once) when ``tier="compiled"`` degrades to numpy."""
+    """Issued (once) when the compiled tier degrades to numpy."""
 
 
 _WARNED = False
@@ -93,8 +96,8 @@ def resolve_tier(tier: str) -> str:
             _WARNED = True
             reason = _cc.build_error() or "cc backend unavailable"
             warnings.warn(
-                "tier='compiled' requested but no compiled backend is "
-                f"available ({reason}); falling back to the numpy tier "
+                "the compiled tier (tier='compiled', the default) is "
+                f"unavailable ({reason}); running the numpy tier instead "
                 "(bit-identical, slower)",
                 CompiledTierUnavailableWarning,
                 stacklevel=2,

@@ -649,9 +649,9 @@ def run_fast(
 
     ``config.tier`` selects the kernel implementation for the token
     bucket replay, congestion lookups, routing picks, and the latency
-    fold: ``numpy`` (default) or ``compiled``
-    (:mod:`repro.perf.compiled`; the bundled C kernels, degrading to
-    numpy with a one-time warning when they cannot be built). Both
+    fold: ``compiled`` (default; :mod:`repro.perf.compiled`, the
+    bundled C kernels, degrading to numpy with a one-time warning when
+    they cannot be built) or ``numpy`` (the oracle). Both
     tiers expose the same stage methods and the same
     :class:`~repro.perf.compiled.CongestionTable`, makes identical RNG
     draws and identical accept/drop/route decisions, so reports are

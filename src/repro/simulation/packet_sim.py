@@ -62,12 +62,12 @@ class PacketSimConfig:
     #: Off by default so long runs stay O(1) memory; the streaming
     #: count/mean/max statistics are always maintained.
     keep_latencies: bool = False
-    #: Kernel tier for the fast engine: ``"numpy"`` is the vectorized
-    #: default and oracle, ``"compiled"`` dispatches to
-    #: :mod:`repro.perf.compiled` machine-code kernels (bit-identical;
-    #: degrades to numpy with a one-time warning when no compiled
-    #: backend is available). The event engine ignores it.
-    tier: str = "numpy"
+    #: Kernel tier for the fast engine: ``"compiled"`` (the default)
+    #: dispatches to the :mod:`repro.perf.compiled` C kernels and
+    #: degrades to numpy with a one-time warning when they cannot be
+    #: built; ``"numpy"`` is the vectorized oracle the compiled tier
+    #: equals bit for bit. The event engine ignores it.
+    tier: str = "compiled"
 
     def __post_init__(self) -> None:
         if self.duration <= self.warmup:
@@ -220,13 +220,8 @@ class PacketLevelSimulation:
         self.rng = make_rng(rng)
         self.scheduler = EventScheduler()
         self.report = PacketSimReport()
+        #: Per-node token buckets of the event engine, built by :meth:`run`.
         self._capacities: Dict[int, NodeCapacity] = {}
-        for layer in range(1, deployment.architecture.layers + 2):
-            for node_id in deployment.layer_members(layer):
-                self._capacities[node_id] = NodeCapacity(
-                    capacity=config.node_capacity,
-                    burst=2 * config.node_capacity,
-                )
         self._client_contacts = [
             deployment.sample_client_contacts(self.rng)
             for _ in range(config.clients)
@@ -483,6 +478,14 @@ class PacketLevelSimulation:
                 schedule=schedule,
             )
             return self.report
+        self._capacities = {
+            node_id: NodeCapacity(
+                capacity=self.config.node_capacity,
+                burst=2 * self.config.node_capacity,
+            )
+            for layer in range(1, self.deployment.architecture.layers + 2)
+            for node_id in self.deployment.layer_members(layer)
+        }
         targets = sorted(flood_targets or ())
         check_run_inputs(self._capacities, targets, schedule, self.marking)
         # One dedicated stream per flood target, spawned in sorted-target

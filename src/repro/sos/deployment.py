@@ -207,7 +207,7 @@ class SOSDeployment:
         members = self.member_array(1)
         degree = min(self.architecture.mapping_degree(1), len(members))
         chosen = generator.choice(len(members), size=degree, replace=False)
-        return [int(members[int(i)]) for i in chosen]
+        return members[chosen].tolist()
 
     # ------------------------------------------------------------------
     # Columnar views (array-path consumers: fastsim, churn, repair)
@@ -313,15 +313,22 @@ class SOSDeployment:
 
         ``chosen_nodes`` must contain exactly ``n`` overlay identifiers;
         they are assigned to layers in order (layer sizes unchanged),
-        authenticator enrollment is refreshed, and neighbor tables are
-        rewired. Used by underlay-aware placement
-        (:mod:`repro.sos.placement`).
+        the old members lose their authenticator enrollment and the old
+        servlets their filter admission, the new members are enrolled,
+        and neighbor tables are rewired. Used by underlay-aware
+        placement (:mod:`repro.sos.placement`).
         """
         sizes = self.architecture.integer_layer_sizes
         if len(chosen_nodes) != sum(sizes):
             raise ConfigurationError(
                 f"need exactly {sum(sizes)} nodes, got {len(chosen_nodes)}"
             )
+        layers = self.architecture.layers
+        for layer in range(1, layers + 1):
+            for node_id in self._layer_membership[layer]:
+                self.authenticator.revoke(layer, node_id)
+        for node_id in self._layer_membership[layers]:
+            self.filters.disallow_servlet(node_id)
         self.network.reset_roles()
         self.network.reset_health()
         membership = _enroll_layers(

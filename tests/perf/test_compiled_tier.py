@@ -68,21 +68,25 @@ def churn(dep, seed, fraction=0.1):
 
 def run_at(tier, seed, *, targets=False, clients=40, dep_seed=11,
            churn_seed=None):
+    """One fast run at test tier ``tier`` (``None``: the config default)."""
     dep = deployment(dep_seed)
     if churn_seed is not None:
         churn(dep, churn_seed)
     flood = (
         flood_layer(dep, layer=1, fraction=0.5, rng=3) if targets else None
     )
+    knobs = dict(
+        duration=20.0,
+        warmup=5.0,
+        clients=clients,
+        client_rate=0.8,
+        flood_rate=120.0,
+    )
+    if tier is None:
+        config = PacketSimConfig(**knobs)
+        return run_fast(dep, config, rng=seed, flood_targets=flood)
     with engine_tier(tier) as config_tier:
-        config = PacketSimConfig(
-            duration=20.0,
-            warmup=5.0,
-            clients=clients,
-            client_rate=0.8,
-            flood_rate=120.0,
-            tier=config_tier,
-        )
+        config = PacketSimConfig(**knobs, tier=config_tier)
         return run_fast(dep, config, rng=seed, flood_targets=flood)
 
 
@@ -148,6 +152,8 @@ class TestPacketEngineTierEquality:
     ):
         # The flood-detect benchmark's shape: 2000 overlay nodes, 1000
         # clients, half of layer 1 flooded from t=10, a monitor attached.
+        # "default" is a config that names no tier: the compiled kernels
+        # whenever they build, so the oracle must match it as well.
         arch = SOSArchitecture(
             layers=3, mapping="one-to-half", total_overlay_nodes=2000,
             sos_nodes=120, filters=8,
@@ -155,10 +161,11 @@ class TestPacketEngineTierEquality:
         dep = SOSDeployment.deploy(arch, rng=41)
         targets = flood_layer(dep, layer=1, fraction=0.5, rng=42)
         outcomes = {}
-        for tier in available_tiers():
+        for tier in ("default",) + available_tiers():
             config = PacketSimConfig(
                 duration=50.0, warmup=5.0, clients=1000, client_rate=1.0,
-                flood_start=10.0, keep_latencies=keep_latencies, tier=tier,
+                flood_start=10.0, keep_latencies=keep_latencies,
+                **({} if tier == "default" else {"tier": tier}),
             )
             monitor = TrafficMonitor(
                 MonitorConfig(bin_width=1.0, warmup_bins=5, baseline_bins=5)
@@ -171,15 +178,16 @@ class TestPacketEngineTierEquality:
                 dataclasses.asdict(report),
                 monitor.observations,
                 monitor.flagged_nodes(),
+                monitor.snapshot(),
             )
-        report, observations, flagged = outcomes.pop("numpy")
+        report, observations, flagged, counters = outcomes.pop("numpy")
         assert report["dropped_at_congested"] > 0
         assert set(flagged) & set(targets), "no flooded node was flagged"
         assert len(report["latencies"]) == (
             report["latency_count"] if keep_latencies else 0
         )
         for tier, other in outcomes.items():
-            assert other == (report, observations, flagged), (
+            assert other == (report, observations, flagged, counters), (
                 f"tier {tier!r} diverged"
             )
 
@@ -239,7 +247,8 @@ class TestMonitorTierEquality:
 
 
 class TestDegradation:
-    """tier='compiled' with no backend: warn once, run numpy, same bits."""
+    """The compiled tier with no backend, asked for or taken by default:
+    warn once, run numpy, same bits."""
 
     @pytest.fixture()
     def no_backend(self, monkeypatch, tmp_path):
@@ -270,6 +279,21 @@ class TestDegradation:
             degraded = run_at("compiled", 2, targets=True)
         expected = run_at("numpy", 2, targets=True)
         assert dataclasses.asdict(degraded) == dataclasses.asdict(expected)
+
+    def test_default_config_warns_once_and_matches_numpy(self, no_backend):
+        seeds = (2, 3)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            reports = [run_at(None, seed, targets=True) for seed in seeds]
+        fallbacks = [
+            warning for warning in record
+            if issubclass(warning.category, CompiledTierUnavailableWarning)
+        ]
+        assert len(fallbacks) == 1
+        assert _cc.build_error() in str(fallbacks[0].message)
+        for seed, report in zip(seeds, reports):
+            expected = run_at("numpy", seed, targets=True)
+            assert dataclasses.asdict(report) == dataclasses.asdict(expected)
 
     def test_monitor_scans_in_numpy_silently(self, no_backend):
         assert compiled_backend() is None

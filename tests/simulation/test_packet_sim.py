@@ -49,6 +49,9 @@ class TestConfigValidation:
         for tier in ("numpy", "compiled"):
             assert PacketSimConfig(tier=tier).tier == tier
 
+    def test_default_tier_is_compiled(self):
+        assert PacketSimConfig().tier == "compiled"
+
 
 class TestBaseline:
     def test_healthy_system_delivers_everything(self):

@@ -96,6 +96,12 @@ def reassign_per_node(
     deployment: SOSDeployment, chosen_nodes: Sequence[int], generator
 ) -> None:
     """:meth:`SOSDeployment.reassign_membership`, one node view at a time."""
+    layers = deployment.architecture.layers
+    for layer in range(1, layers + 1):
+        for member in deployment.layer_members(layer):
+            deployment.authenticator.revoke(layer, member)
+            if layer == layers:
+                deployment.filters.disallow_servlet(member)
     deployment.network.reset_roles()
     deployment.network.reset_health()
     membership = _enroll_per_node(

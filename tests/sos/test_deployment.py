@@ -162,6 +162,28 @@ class TestViews:
         assert deployment.network.get(first).neighbors
         assert deployment.authenticator.is_enrolled(1, first)
 
+    def test_reassign_membership_drops_stale_trust(self, deployment):
+        import numpy as np
+
+        old_first = deployment.layer_members(1)
+        assert len(old_first) == 20
+        auth = deployment.authenticator
+        stamps = {node_id: auth.issue(1, node_id, 7) for node_id in old_first}
+        old_sos = set(deployment.sos_member_ids())
+        fresh = [
+            node.node_id for node in deployment.network
+            if node.node_id not in old_sos
+        ][:60]
+        deployment.reassign_membership(fresh, np.random.default_rng(9))
+        for node_id, mac in stamps.items():
+            assert not auth.verify(1, node_id, 7, mac)
+            assert not auth.is_enrolled(1, node_id)
+        new_servlets = deployment.layer_members(3)
+        everyone = [node.node_id for node in deployment.network]
+        admitted = [n for n in everyone if deployment.filters.admits(n)]
+        assert len(new_servlets) == 20
+        assert sorted(admitted) == new_servlets
+
     def test_reassign_membership_wrong_count(self, deployment):
         import numpy as np
 
